@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -51,6 +52,7 @@ struct ConnState {
 
   // Receiver-side tallies, merged after join.
   std::uint64_t sent_in_window = 0;      // sender-owned
+  std::uint64_t late_in_window = 0;      // sender-owned
   std::uint64_t received_in_window = 0;  // receiver-owned
   std::uint64_t errors = 0;
   std::size_t rx_carry = 0;               // receiver-owned: partial-frame bytes
@@ -139,11 +141,25 @@ class AddrStream {
   WireProtocol proto_;
 };
 
-/// Open-loop sender: paced absolute-deadline sends, batched so the wakeup
-/// cadence never drops below ~100us even at very high per-connection
-/// rates (at that point per-request sleeps are noise anyway).
+/// An open-loop send leaving more than this after its request fell due
+/// is late: beyond the ~100us batching cadence, the sender was behind.
+constexpr auto kLateSend = std::chrono::microseconds(100);
+
+/// Open-loop sender: request k falls due at begin + k * interval, however
+/// long the sends before it took.  Sends are batched so the wakeup cadence
+/// never drops below ~100us even at very high per-connection rates (at
+/// that point per-request sleeps are noise anyway).  A sender that falls
+/// behind — a send() stall under server back-pressure — keeps the
+/// deficit: the overdue requests go out back to back, each stamped at its
+/// due time, so the wait shows in the latency and in the late count
+/// instead of vanishing (coordinated omission).  A request a batch sends
+/// ahead of its due time is stamped at the send.
 void run_open_sender(ConnState& conn, const Phases& phases, std::uint64_t rate_qps,
                      std::uint64_t seed, WireProtocol proto) {
+  // Requests are timed from their due time, so the default 50us timer
+  // slack on each wakeup would land in every latency sample; this
+  // thread's sleeps should end on time.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
   AddrStream addrs(seed, proto);
   const auto interval = std::chrono::nanoseconds(
       std::max<std::uint64_t>(1, 1'000'000'000ull / std::max<std::uint64_t>(1, rate_qps)));
@@ -153,33 +169,36 @@ void run_open_sender(ConnState& conn, const Phases& phases, std::uint64_t rate_q
           : 1;
 
   std::string wire;
-  auto next = phases.begin;
+  auto due = phases.begin;  // the next request's due time
   while (true) {
     const auto now = Clock::now();
     if (now >= phases.end) break;
-    if (now < next) {
-      std::this_thread::sleep_until(next);
+    if (now < due) {
+      std::this_thread::sleep_until(due);
       continue;
     }
     wire.clear();
     for (std::size_t i = 0; i < batch; ++i) addrs.append_request(wire);
-    const auto stamp = Clock::now();
+    const auto sent_at = Clock::now();
+    const auto stamp_of = [&](std::size_t i) {
+      return std::min<Clock::time_point>(due + interval * i, sent_at);
+    };
     {
       const std::lock_guard<std::mutex> lock(conn.mutex);
-      for (std::size_t i = 0; i < batch; ++i) conn.in_flight.push_back(stamp);
+      for (std::size_t i = 0; i < batch; ++i) conn.in_flight.push_back(stamp_of(i));
     }
     if (!send_all(conn.fd, wire.data(), wire.size())) {
       ++conn.errors;
       break;
     }
-    if (stamp >= phases.measure_begin && stamp < phases.measure_end) {
-      conn.sent_in_window += batch;
+    for (std::size_t i = 0; i < batch; ++i) {
+      const auto stamp = stamp_of(i);
+      if (stamp >= phases.measure_begin && stamp < phases.measure_end) {
+        ++conn.sent_in_window;
+        if (sent_at - stamp > kLateSend) ++conn.late_in_window;
+      }
     }
-    next += interval * batch;
-    // A send() stall (server back-pressure) can leave us behind schedule;
-    // catching up from `now` keeps the offered rate honest instead of
-    // bursting the backlog at line rate.
-    if (next < now) next = now;
+    due += interval * batch;
   }
   conn.sender_done.store(true, std::memory_order_release);
   ::shutdown(conn.fd, SHUT_WR);
@@ -288,6 +307,7 @@ StepResult summarize(std::uint64_t target, int measure_ms,
   std::vector<std::uint64_t> samples;
   for (const auto& conn : conns) {
     result.sent += conn->sent_in_window;
+    result.late += conn->late_in_window;
     result.received += conn->received_in_window;
     result.errors += conn->errors;
     samples.insert(samples.end(), conn->samples_us.begin(), conn->samples_us.end());
@@ -460,6 +480,7 @@ void write_loadgen_json(std::ostream& out, const LoadgenConfig& config,
     text += ",\n      \"achieved_qps\": ";
     append_fixed(text, step.achieved_qps);
     text += ",\n      \"sent\": " + std::to_string(step.sent) + ",\n";
+    text += "      \"late\": " + std::to_string(step.late) + ",\n";
     text += "      \"received\": " + std::to_string(step.received) + ",\n";
     text += "      \"errors\": " + std::to_string(step.errors) + ",\n";
     text += "      \"samples\": " + std::to_string(step.samples) + ",\n";

@@ -9,9 +9,12 @@
 // Two arrival models, selected per run:
 //  * open loop — arrivals are paced by a clock, independent of replies.
 //    Each step's value is an offered rate in queries/s split evenly over
-//    the connections; latency includes queueing delay, so driving the
-//    server past saturation shows the hockey stick rather than hiding it
-//    (the coordinated-omission trap closed-loop tools fall into).
+//    the connections; each request is timed from when it fell due, and a
+//    sender that falls behind carries the deficit (counted as late sends)
+//    instead of dropping it, so latency includes queueing delay and
+//    driving the server past saturation shows the hockey stick rather
+//    than hiding it (the coordinated-omission trap closed-loop tools fall
+//    into).
 //  * closed loop — each step's value is a pipeline depth per connection;
 //    a new request is sent only when a reply returns.  Measures the
 //    server's best-case service latency at a bounded concurrency.
@@ -68,6 +71,7 @@ struct LoadgenConfig {
 struct StepResult {
   std::uint64_t target = 0;       // the step's rate or depth
   std::uint64_t sent = 0;         // requests sent inside the measure window
+  std::uint64_t late = 0;         // of those, sent >100us after falling due (open loop)
   std::uint64_t received = 0;     // replies received inside the measure window
   std::uint64_t errors = 0;       // connect/send/recv failures across the step
   std::uint64_t samples = 0;      // latency samples (sent and matched in-window)

@@ -79,25 +79,150 @@ void append_sanitized_echo(std::string& out, std::string_view token, std::size_t
   }
 }
 
+namespace {
+
+/// Run one request's answer, timing it into `timer` when there is one.
+template <typename Answer>
+void timed(obs::TimingHistogram* timer, Answer&& answer) {
+  if (timer == nullptr) {
+    answer();
+    return;
+  }
+  const auto t0 = Clock::now();
+  answer();
+  timer->record_us(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count()));
+}
+
+void answer_line(std::string_view line, const TelescopeIndex& index, std::string& out,
+                 obs::TimingHistogram* timer, RequestTally& tally) {
+  const auto token = util::trim(line);  // strips CRLF and padding
+  if (token.empty() || token.front() == '#') return;
+  ++tally.replies;
+  timed(timer, [&] {
+    // Analytics verbs (top-ports / outages / scanners) share one
+    // formatter with `mtscope analyze`, so the wire and the CLI can never
+    // drift; everything else stays on the IPv4 fast path.
+    if (is_analytics_verb(token)) {
+      out += answer_analytics_query(index, token);
+    } else if (const auto addr = net::Ipv4Addr::parse(token)) {
+      out += format_verdict(*addr, index.lookup(*addr));
+    } else {
+      append_sanitized_echo(out, token, kInvalidEchoBytes);
+      out += " invalid";
+      ++tally.invalid;
+    }
+    out += '\n';
+  });
+}
+
+/// A malformed frame gets one invalid-frame response; the caller resumes
+/// at the next 12-byte boundary, so corruption can never desync the
+/// stream.
+void answer_frame(std::span<const std::uint8_t> frame, const TelescopeIndex& index,
+                  std::string& out, obs::TimingHistogram* timer, RequestTally& tally) {
+  ++tally.replies;
+  timed(timer, [&] {
+    const auto decoded = wire::decode_request(frame);
+    if (!decoded.ok()) {
+      // The addr field is echoed only when the frame's seal held; after a
+      // CRC failure no field is trustworthy, so the reply carries 0.
+      const auto reason = wire::invalid_reason(decoded.error().code);
+      const net::Ipv4Addr addr = reason == wire::InvalidReason::kBadCrc
+                                     ? net::Ipv4Addr(0)
+                                     : net::Ipv4Addr(util::le_get_u32(frame, 4));
+      wire::append_response(out, wire::make_invalid_response(addr, reason));
+      ++tally.invalid;
+    } else if (decoded.value().verb == wire::Verb::kLookup) {
+      const net::Ipv4Addr addr = decoded.value().addr;
+      wire::append_response(out, wire::make_verdict_response(addr, index.lookup(addr)));
+    } else {
+      // count-in canonicalizes the base (host bits masked off) and echoes
+      // the canonical form, mirroring what the index actually counted.
+      const auto prefix = net::Prefix::canonical(decoded.value().addr, decoded.value().plen);
+      wire::append_response(out, wire::make_count_response(prefix.base(), decoded.value().plen,
+                                                           index.count_in(prefix)));
+    }
+  });
+}
+
+/// A request line past the cap is a protocol violation, not a slow
+/// write: one sanitized invalid reply, everything buffered dropped, then
+/// the connection closes.  Counted but never timed — it does not reach
+/// the request path.
+void kill_overlong(std::string_view line, std::size_t buffered, std::string& out,
+                   RequestTally& tally) {
+  append_sanitized_echo(out, line, kInvalidEchoBytes);
+  out += " invalid\n";
+  ++tally.replies;
+  ++tally.invalid;
+  tally.consumed = buffered;
+  tally.fatal = true;
+}
+
+}  // namespace
+
+RequestTally answer_requests(RequestProto& proto, std::string_view in, bool eof,
+                             const TelescopeIndex& index, std::size_t max_request_bytes,
+                             std::string& out, obs::TimingHistogram* timer) {
+  RequestTally tally;
+  if (proto == RequestProto::kUndecided) {
+    // No line-protocol opener (dotted quad, comment, verb) starts with
+    // the preamble, so divergence at any byte means a line client.
+    const std::size_t probe = std::min(in.size(), wire::kPreamble.size());
+    if (in.substr(0, probe) != wire::kPreamble.substr(0, probe)) {
+      proto = RequestProto::kLine;
+    } else if (probe == wire::kPreamble.size()) {
+      proto = RequestProto::kBinary;
+      tally.consumed = probe;
+    } else if (eof) {
+      proto = RequestProto::kLine;  // a half-closed preamble prefix is a line leftover
+    } else {
+      return tally;
+    }
+  }
+
+  if (proto == RequestProto::kBinary) {
+    const std::span<const std::uint8_t> bytes(reinterpret_cast<const std::uint8_t*>(in.data()),
+                                              in.size());
+    while (bytes.size() - tally.consumed >= wire::kRequestSize) {
+      answer_frame(bytes.subspan(tally.consumed, wire::kRequestSize), index, out, timer, tally);
+      tally.consumed += wire::kRequestSize;
+    }
+    return tally;
+  }
+
+  for (;;) {
+    const std::size_t newline = in.find('\n', tally.consumed);
+    if (newline == std::string_view::npos) break;
+    const std::string_view line = in.substr(tally.consumed, newline - tally.consumed);
+    if (line.size() > max_request_bytes) {
+      kill_overlong(line, in.size(), out, tally);
+      return tally;
+    }
+    answer_line(line, index, out, timer, tally);
+    tally.consumed = newline + 1;
+  }
+  // An unterminated line is condemned as soon as it outgrows the cap.
+  if (in.size() - tally.consumed > max_request_bytes) {
+    kill_overlong(in.substr(tally.consumed), in.size(), out, tally);
+  }
+  return tally;
+}
+
 /// Per-client state.  `out` is drained from `out_off` so flushing never
 /// memmoves; the string is recycled once empty.  Fresh replies for a batch
 /// are built in the reactor's scratch buffer and coalesced with the
 /// leftover `out` bytes into one sendmsg — only what the kernel refuses
 /// (or the fairness cap defers) is copied into `out`.
 struct QueryServer::Connection {
-  /// Decided by the first bytes: exactly the MTBIN preamble switches to
-  /// fixed-width binary frames, anything else locks in the line protocol.
-  /// Undecided only while the received bytes are a strict prefix of the
-  /// preamble.
-  enum class Proto : std::uint8_t { kUndecided, kLine, kBinary };
-
   int fd = -1;
   std::string in;
   std::string out;
   std::size_t out_off = 0;
   Clock::time_point last_activity{};
   std::uint32_t interest = 0;
-  Proto proto = Proto::kUndecided;
+  RequestProto proto = RequestProto::kUndecided;  // settled by answer_requests
   bool paused = false;       // back-pressure: reply backlog over the cap
   bool read_closed = false;  // peer EOF (or drain): no further requests
   bool fatal = false;        // protocol violation: close once out drains
@@ -109,23 +234,14 @@ struct QueryServer::Connection {
 // Reactor: one event loop, one SO_REUSEPORT listener, one connection
 // table.  Everything it mutates is thread-confined; it reaches into the
 // parent only for the shared SnapshotManager, the config, and the relaxed
-// monotonic counters.
+// monotonic counters.  Requests are answered by answer_requests(); the
+// reactor only moves bytes and adds each batch's tally to the counters.
 
 class QueryServer::Reactor {
  public:
   Reactor(QueryServer& server, int index)
       : server_(server), index_(index) {
-    if (server_.metrics_ != nullptr) {
-      registry_ = std::make_unique<obs::MetricsRegistry>();
-      queries_counter_ = &registry_->counter("serve.server.queries");
-      invalid_counter_ = &registry_->counter("serve.server.invalid");
-      connections_counter_ = &registry_->counter("serve.server.connections");
-      drops_counter_ = &registry_->counter("serve.server.drops");
-      timeouts_counter_ = &registry_->counter("serve.server.timeouts");
-      partial_flush_counter_ = &registry_->counter("serve.server.partial_flushes");
-      active_gauge_ = &registry_->gauge("serve.server.active");
-      request_timer_ = &registry_->timer("serve.server.request_us");
-    }
+    if (server_.metrics_ != nullptr) request_timer_ = std::make_unique<obs::TimingHistogram>();
   }
 
   ~Reactor() {
@@ -227,8 +343,9 @@ class QueryServer::Reactor {
     return accepted_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] const obs::MetricsRegistry* registry() const noexcept {
-    return registry_.get();
+  /// Null without a registry attached.
+  [[nodiscard]] const obs::TimingHistogram* request_timer() const noexcept {
+    return request_timer_.get();
   }
 
  private:
@@ -318,7 +435,6 @@ class QueryServer::Reactor {
           static_cast<std::uint64_t>(server_.config_.max_conns)) {
         ::close(fd);
         server_.drops_.fetch_add(1, std::memory_order_relaxed);
-        if (drops_counter_ != nullptr) drops_counter_->add(1);
         continue;
       }
       const int enable = 1;
@@ -335,10 +451,6 @@ class QueryServer::Reactor {
 
       accepted_.fetch_add(1, std::memory_order_relaxed);
       server_.connections_.fetch_add(1, std::memory_order_relaxed);
-      if (connections_counter_ != nullptr) {
-        connections_counter_->add(1);
-        active_gauge_->set(static_cast<std::int64_t>(conns_.size()));
-      }
     }
   }
 
@@ -359,13 +471,13 @@ class QueryServer::Reactor {
       // between back-pressure checks.
       char chunk[16 * 1024];
       std::size_t want = sizeof(chunk);
-      if (conn.proto != Connection::Proto::kBinary && !conn.in.empty()) {
+      if (conn.proto != RequestProto::kBinary && !conn.in.empty()) {
         // A partial line (or preamble prefix) is already buffered: cap the
         // read so `in` can never grow past max_request_bytes plus the one
         // byte that proves the violation — previously a client could park
         // max_request_bytes + 16KiB - 1 unanswered bytes here.  Binary
         // mode is exempt: frames are fixed-width, so the residual after
-        // process_input is always shorter than one frame.
+        // answer_requests is always shorter than one frame.
         const std::size_t cap = server_.config_.max_request_bytes + 1;
         want = std::min(want, cap > conn.in.size() ? cap - conn.in.size() : std::size_t{1});
       }
@@ -397,168 +509,25 @@ class QueryServer::Reactor {
     update_interest(conn);
   }
 
-  /// Answer every complete request in `conn.in` — lines or MTBIN frames,
-  /// per the negotiated protocol — appending the replies to the reactor's
-  /// scratch batch buffer; the caller coalesces it into one sendmsg via
-  /// flush_output(conn, batch_).
+  /// Answer every complete request in `conn.in` into the reactor's
+  /// scratch batch buffer (the caller coalesces it into one sendmsg via
+  /// flush_output(conn, batch_)) and add the batch's tally to the server
+  /// totals — one update per counter per batch, never per request, and
+  /// before the flush, so a client holding its replies sees them counted.
   void process_input(Connection& conn) {
-    if (conn.proto == Connection::Proto::kUndecided && !negotiate(conn)) return;
-
     // One index grab per batch: the lock-free reader path.  Everything in
     // this batch is answered from one consistent epoch even if a reload
     // lands concurrently with the next batch.
     const std::shared_ptr<const TelescopeIndex> index = server_.manager_.current();
-    if (conn.proto == Connection::Proto::kBinary) {
-      process_binary(conn, *index);
-      return;
-    }
-
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t newline = conn.in.find('\n', start);
-      if (newline == std::string::npos) break;
-      if (newline - start > server_.config_.max_request_bytes) {
-        kill_overlong(conn, std::string_view(conn.in).substr(start, newline - start));
-        return;
-      }
-      answer_line(std::string_view(conn.in).substr(start, newline - start), *index);
-      start = newline + 1;
-    }
-    conn.in.erase(0, start);
-
-    if (conn.in.size() > server_.config_.max_request_bytes) {
-      kill_overlong(conn, conn.in);
-    }
-  }
-
-  /// First bytes decide the protocol.  Exactly the MTBIN preamble flips
-  /// the connection to binary frames; any divergence — which includes
-  /// every line-protocol opener, since no dotted quad, comment or verb
-  /// starts with "MTBIN/1\n" — locks in line mode with all bytes kept.
-  /// A strict prefix of the preamble waits for more input, unless the
-  /// peer already half-closed (then it is a line-mode leftover).
-  /// Returns false while still undecided.
-  bool negotiate(Connection& conn) {
-    const std::size_t probe = std::min(conn.in.size(), wire::kPreamble.size());
-    if (conn.in.compare(0, probe, wire::kPreamble.data(), probe) != 0) {
-      conn.proto = Connection::Proto::kLine;
-      return true;
-    }
-    if (probe == wire::kPreamble.size()) {
-      conn.proto = Connection::Proto::kBinary;
-      conn.in.erase(0, wire::kPreamble.size());
-      return true;
-    }
-    if (conn.read_closed) {
-      conn.proto = Connection::Proto::kLine;
-      return true;
-    }
-    return false;
-  }
-
-  /// A request line past the cap — complete or still unterminated — is a
-  /// protocol violation, not a slow write: one sanitized "invalid" reply,
-  /// then hang up.  Per the counting contract it is a produced reply
-  /// (queries) that was invalid (invalid) and killed the connection
-  /// (drops).
-  void kill_overlong(Connection& conn, std::string_view line) {
-    append_sanitized_echo(batch_, line, kInvalidEchoBytes);
-    batch_ += " invalid\n";
-    conn.in.clear();
-    conn.fatal = true;
-    server_.queries_.fetch_add(1, std::memory_order_relaxed);
-    server_.invalid_.fetch_add(1, std::memory_order_relaxed);
-    server_.drops_.fetch_add(1, std::memory_order_relaxed);
-    if (queries_counter_ != nullptr) queries_counter_->add(1);
-    if (invalid_counter_ != nullptr) invalid_counter_->add(1);
-    if (drops_counter_ != nullptr) drops_counter_->add(1);
-  }
-
-  /// Answer every complete fixed-width MTBIN frame.  A malformed frame
-  /// gets one invalid-frame response and decoding resumes at the next
-  /// 12-byte boundary — fixed widths mean a corrupt frame can never
-  /// desync the stream, so the connection stays up.
-  void process_binary(Connection& conn, const TelescopeIndex& index) {
-    const std::span<const std::uint8_t> bytes(
-        reinterpret_cast<const std::uint8_t*>(conn.in.data()), conn.in.size());
-    std::size_t consumed = 0;
-    while (bytes.size() - consumed >= wire::kRequestSize) {
-      answer_frame(bytes.subspan(consumed, wire::kRequestSize), index);
-      consumed += wire::kRequestSize;
-    }
-    conn.in.erase(0, consumed);
-  }
-
-  void answer_frame(std::span<const std::uint8_t> frame, const TelescopeIndex& index) {
-    const auto t0 = request_timer_ != nullptr ? Clock::now() : Clock::time_point{};
-    const auto decoded = wire::decode_request(frame);
-    if (!decoded.ok()) {
-      // The addr field is echoed only when the frame's seal held; after a
-      // CRC failure no field is trustworthy, so the reply carries 0.
-      const auto reason = wire::invalid_reason(decoded.error().code);
-      const net::Ipv4Addr addr = reason == wire::InvalidReason::kBadCrc
-                                     ? net::Ipv4Addr(0)
-                                     : net::Ipv4Addr(util::le_get_u32(frame, 4));
-      wire::append_response(batch_, wire::make_invalid_response(addr, reason));
-      server_.invalid_.fetch_add(1, std::memory_order_relaxed);
-      if (invalid_counter_ != nullptr) invalid_counter_->add(1);
-    } else if (decoded.value().verb == wire::Verb::kLookup) {
-      const net::Ipv4Addr addr = decoded.value().addr;
-      wire::append_response(batch_, wire::make_verdict_response(addr, index.lookup(addr)));
-    } else {
-      // count-in canonicalizes the base (host bits masked off) and echoes
-      // the canonical form, mirroring what the index actually counted.
-      const auto prefix =
-          net::Prefix::canonical(decoded.value().addr, decoded.value().plen);
-      wire::append_response(
-          batch_, wire::make_count_response(prefix.base(), decoded.value().plen,
-                                            index.count_in(prefix)));
-    }
-    server_.queries_.fetch_add(1, std::memory_order_relaxed);
-    if (queries_counter_ != nullptr) queries_counter_->add(1);
-    if (request_timer_ != nullptr) {
-      request_timer_->record_us(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count()));
-    }
-  }
-
-  void answer_line(std::string_view line, const TelescopeIndex& index) {
-    const auto token = util::trim(line);  // strips CRLF and padding
-    if (token.empty() || token.front() == '#') return;
-
-    // Analytics verbs (top-ports / outages / scanners) share one
-    // formatter with `mtscope analyze`, so the wire and the CLI can never
-    // drift; everything else stays on the IPv4 fast path below.
-    if (is_analytics_verb(token)) {
-      const auto verb_t0 = request_timer_ != nullptr ? Clock::now() : Clock::time_point{};
-      batch_ += answer_analytics_query(index, token);
-      batch_ += '\n';
-      server_.queries_.fetch_add(1, std::memory_order_relaxed);
-      if (queries_counter_ != nullptr) queries_counter_->add(1);
-      if (request_timer_ != nullptr) {
-        request_timer_->record_us(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - verb_t0)
-                .count()));
-      }
-      return;
-    }
-
-    const auto t0 = request_timer_ != nullptr ? Clock::now() : Clock::time_point{};
-    const auto addr = net::Ipv4Addr::parse(token);
-    if (!addr.has_value()) {
-      append_sanitized_echo(batch_, token, kInvalidEchoBytes);
-      batch_ += " invalid\n";
-      server_.invalid_.fetch_add(1, std::memory_order_relaxed);
-      if (invalid_counter_ != nullptr) invalid_counter_->add(1);
-    } else {
-      batch_ += format_verdict(*addr, index.lookup(*addr));
-      batch_ += '\n';
-    }
-    server_.queries_.fetch_add(1, std::memory_order_relaxed);
-    if (queries_counter_ != nullptr) queries_counter_->add(1);
-    if (request_timer_ != nullptr) {
-      request_timer_->record_us(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count()));
+    const RequestTally tally =
+        answer_requests(conn.proto, conn.in, conn.read_closed, *index,
+                        server_.config_.max_request_bytes, batch_, request_timer_.get());
+    conn.in.erase(0, tally.consumed);
+    if (tally.replies > 0) server_.queries_.fetch_add(tally.replies, std::memory_order_relaxed);
+    if (tally.invalid > 0) server_.invalid_.fetch_add(tally.invalid, std::memory_order_relaxed);
+    if (tally.fatal) {
+      conn.fatal = true;
+      server_.drops_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -612,7 +581,6 @@ class QueryServer::Reactor {
     if (peer_gone) return false;
     if (budget == 0 && conn.pending() > 0) {
       server_.partial_flushes_.fetch_add(1, std::memory_order_relaxed);
-      if (partial_flush_counter_ != nullptr) partial_flush_counter_->add(1);
     }
     if (conn.paused && conn.pending() < server_.config_.max_pending_bytes / 2) {
       conn.paused = false;  // back-pressure released
@@ -637,9 +605,6 @@ class QueryServer::Reactor {
     ::close(fd);
     conns_.erase(it);
     server_.active_.fetch_sub(1, std::memory_order_relaxed);
-    if (active_gauge_ != nullptr) {
-      active_gauge_->set(static_cast<std::int64_t>(conns_.size()));
-    }
   }
 
   void maybe_sweep() {
@@ -652,14 +617,12 @@ class QueryServer::Reactor {
     for (const auto& [fd, conn] : conns_) {
       if (now - conn->last_activity > limit) expired.push_back(fd);
     }
-    for (const int fd : expired) {
-      // Covers the back-pressured slow reader: paused connections make no
-      // read progress and a full socket buffer blocks write progress, so
-      // their last_activity freezes until this sweep retires them.
-      server_.timeouts_.fetch_add(1, std::memory_order_relaxed);
-      if (timeouts_counter_ != nullptr) timeouts_counter_->add(1);
-      close_connection(fd);
-    }
+    // Covers the back-pressured slow reader: paused connections make no
+    // read progress and a full socket buffer blocks write progress, so
+    // their last_activity freezes until this sweep retires them.  Counted
+    // before the close, so a peer that sees EOF also sees the timeout.
+    server_.timeouts_.fetch_add(expired.size(), std::memory_order_relaxed);
+    for (const int fd : expired) close_connection(fd);
   }
 
   QueryServer& server_;
@@ -673,18 +636,9 @@ class QueryServer::Reactor {
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
   std::string batch_;  // scratch reply buffer, one event's verdicts
   std::atomic<std::uint64_t> accepted_{0};
-
-  // Private registry + resolved handles (map nodes are stable); all null
-  // without a parent registry so the hot path stays free of lookups.
-  std::unique_ptr<obs::MetricsRegistry> registry_;
-  obs::Counter* queries_counter_ = nullptr;
-  obs::Counter* invalid_counter_ = nullptr;
-  obs::Counter* connections_counter_ = nullptr;
-  obs::Counter* drops_counter_ = nullptr;
-  obs::Counter* timeouts_counter_ = nullptr;
-  obs::Counter* partial_flush_counter_ = nullptr;
-  obs::Gauge* active_gauge_ = nullptr;
-  obs::TimingHistogram* request_timer_ = nullptr;
+  // This reactor's serve.server.request_us samples; null without a
+  // registry, so the request path then reads no clock.
+  std::unique_ptr<obs::TimingHistogram> request_timer_;
 };
 
 // ---------------------------------------------------------------------------
@@ -778,11 +732,28 @@ int QueryServer::run() {
   reactors_.front()->run();
   for (auto& thread : threads) thread.join();
 
-  // Deterministic metrics handoff: fold every reactor's private registry
-  // into the attached one in reactor-index order (counters add, gauges
-  // max, timers pool) — totals are then independent of scheduling.
+  // The ServerStats totals are the only counters: the registry receives
+  // their final values once, and the reactors' request timers pool in
+  // reactor-index order, so the snapshot is independent of scheduling.
   if (metrics_ != nullptr) {
-    for (const auto& reactor : reactors_) metrics_->merge(*reactor->registry());
+    const ServerStats s = stats();
+    const std::pair<const char*, std::uint64_t> totals[] = {
+        {"serve.server.connections", s.connections},
+        {"serve.server.queries", s.queries},
+        {"serve.server.invalid", s.invalid},
+        {"serve.server.timeouts", s.timeouts},
+        {"serve.server.drops", s.drops},
+        {"serve.server.partial_flushes", s.partial_flushes},
+    };
+    for (const auto& [name, value] : totals) metrics_->counter(name).add(value);
+    // Reload outcomes appear only once one happened.
+    if (s.reloads > 0) metrics_->counter("serve.server.reloads").add(s.reloads);
+    if (s.reload_failures > 0) {
+      metrics_->counter("serve.server.reload_failures").add(s.reload_failures);
+    }
+    metrics_->gauge("serve.server.active").max_with(static_cast<std::int64_t>(s.active));
+    auto& request_timer = metrics_->timer("serve.server.request_us");
+    for (const auto& reactor : reactors_) request_timer.merge(*reactor->request_timer());
   }
   return 0;
 }
@@ -791,12 +762,10 @@ void QueryServer::do_reload() {
   const auto installed = manager_.load_and_install(config_.snapshot_path, metrics_);
   if (installed.ok()) {
     reloads_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("serve.server.reloads").add(1);
   } else {
     // The previous epoch keeps serving; operators see the failure in the
     // stats and the unchanged serve.snapshot.epoch gauge.
     reload_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->counter("serve.server.reload_failures").add(1);
   }
   // Either way the watcher's reference point is what is on disk now: a
   // failed load must not be re-attempted every poll tick, only once the

@@ -25,11 +25,19 @@
 // resumes at the next frame boundary (fixed widths cannot desync), so
 // corruption is answered, never crashed on.
 //
+// One request core: answer_requests() turns a connection's buffered
+// bytes into replies for both protocols — preamble negotiation, every
+// complete line (IPv4 lookup, analytics verb, comment, bad token,
+// overlong kill) or every complete frame (lookup, count-in, malformed) —
+// with no socket in sight, so tests drive it byte by byte.  The reactor
+// around it only moves bytes: recv, flush, back-pressure, sweep, drain.
+//
 // Counting contract (every protocol, every path): each produced reply
 // increments `queries`; replies reporting a malformed request (bad IP
 // line, overlong line, malformed frame) also increment `invalid`; and
 // when the violation kills the connection (only the overlong line cap)
-// `drops` is incremented as well.
+// `drops` is incremented as well.  answer_requests() returns these as a
+// RequestTally and the reactor adds it to ServerStats once per batch.
 //
 // Architecture: N independent epoll reactors (serve/event_loop.hpp), one
 // per core with `--reactors N`, each owning its own SO_REUSEPORT listener,
@@ -94,6 +102,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/ipv4.hpp"
@@ -115,6 +124,31 @@ namespace mtscope::serve {
 /// reflect control characters or raw binary back at a client.
 void append_sanitized_echo(std::string& out, std::string_view token, std::size_t limit);
 
+/// The protocol a connection speaks, decided by its first bytes.
+enum class RequestProto : std::uint8_t { kUndecided, kLine, kBinary };
+
+/// What one answer_requests() call did — the counting contract's inputs.
+struct RequestTally {
+  std::size_t consumed = 0;   // leading bytes of `in` answered; the caller drops them
+  std::uint64_t replies = 0;  // replies appended to `out` (queries)
+  std::uint64_t invalid = 0;  // of those, replies to malformed requests
+  bool fatal = false;         // overlong line: its reply is the last, then close (a drop)
+};
+
+/// Answer every complete request at the front of `in`, appending the
+/// replies to `out`.  While `proto` is undecided, the first bytes settle
+/// it: exactly the MTBIN preamble selects binary frames (and is consumed),
+/// any divergence selects the line protocol with every byte kept, and a
+/// strict prefix of the preamble waits for more input unless `eof`.
+/// A line longer than `max_request_bytes` — complete, or unterminated and
+/// already past the cap — gets one sanitized invalid reply, consumes all
+/// of `in` and sets `fatal`.  With a timer, every reply but the overlong
+/// kill is timed into it; without one no clock is read.
+[[nodiscard]] RequestTally answer_requests(RequestProto& proto, std::string_view in, bool eof,
+                                           const TelescopeIndex& index,
+                                           std::size_t max_request_bytes, std::string& out,
+                                           obs::TimingHistogram* timer);
+
 struct ServerConfig {
   std::string snapshot_path;            // loaded at start() and on each reload
   std::uint16_t port = 0;               // 0 = kernel-assigned (see port())
@@ -129,8 +163,8 @@ struct ServerConfig {
 };
 
 /// Monotonic server totals, readable from any thread (tests, benches, the
-/// CLI's exit banner).  Aggregated across every reactor; the obs counters
-/// mirror these when a registry is attached.
+/// CLI's exit banner).  Aggregated across every reactor; with a registry
+/// attached, run() writes them into it once the reactors have stopped.
 struct ServerStats {
   std::uint64_t connections = 0;  // accepted, lifetime
   std::uint64_t active = 0;       // currently open
@@ -145,13 +179,13 @@ struct ServerStats {
 
 class QueryServer {
  public:
-  /// With a registry, maintains serve.server.{connections,active,queries,
-  /// invalid,reloads,reload_failures,timeouts,drops,partial_flushes} plus
-  /// the serve.server.request_us latency histogram.  Each reactor writes
-  /// its own private registry; after run() returns they are merged into
-  /// the attached registry in reactor-index order (counters add, gauges
-  /// keep the max, timers pool), so the snapshot is deterministic for the
-  /// same work regardless of scheduling.  Read it after run() returns.
+  /// With a registry, run() reports serve.server.{connections,active,
+  /// queries,invalid,timeouts,drops,partial_flushes} (plus reloads and
+  /// reload_failures once one happened) from the ServerStats totals, and
+  /// the serve.server.request_us latency histogram, which each reactor
+  /// records privately and run() pools in reactor-index order — so the
+  /// snapshot is deterministic for the same work regardless of
+  /// scheduling.  Read it after run() returns.
   explicit QueryServer(ServerConfig config, obs::MetricsRegistry* metrics = nullptr);
   ~QueryServer();
 

@@ -4,7 +4,7 @@
 // host-endianness-agnostic by construction:
 //
 //   * be_put_* / be_get_* — network byte order (big-endian), used by the
-//     IPFIX and NetFlow v5 codecs and the packet-header serializers.
+//     IPFIX codec and the packet-header serializers.
 //   * le_put_* / le_get_* — little-endian, the byte order of the telescope
 //     snapshot format (DESIGN.md §10): snapshots are written once and
 //     served many times on x86-class hardware, so the on-disk layout

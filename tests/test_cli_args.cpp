@@ -63,8 +63,6 @@ TEST(CliArgs, InferDefaults) {
   EXPECT_TRUE(r.opt.tolerance);
   EXPECT_TRUE(r.opt.metrics_path.empty());
   EXPECT_TRUE(r.opt.snapshot_out.empty());
-  EXPECT_FALSE(r.opt.bench);
-  EXPECT_EQ(r.opt.bench_lookups, 2'000'000u);
 }
 
 // --- numeric validation -----------------------------------------------------
@@ -168,20 +166,12 @@ TEST(CliArgs, HilbertMissingPath) {
 // --- query surface ----------------------------------------------------------
 
 TEST(CliArgs, QueryOptionsParse) {
-  const auto r = parse({"query", "--snapshot", "run.snap", "--ips", "-", "--bench",
-                        "--lookups", "5000000", "--metrics-out", "m.json"});
+  const auto r = parse({"query", "--snapshot", "run.snap", "--ips", "-", "--metrics-out",
+                        "m.json"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.opt.snapshot_path, "run.snap");
   EXPECT_EQ(r.opt.ips_path, "-");
-  EXPECT_TRUE(r.opt.bench);
-  EXPECT_EQ(r.opt.bench_lookups, 5'000'000u);
   EXPECT_EQ(r.opt.metrics_path, "m.json");
-}
-
-TEST(CliArgs, LookupsZeroRejected) {
-  const auto r = parse({"query", "--lookups", "0"});
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error, "--lookups must be >= 1");
 }
 
 // --- serve surface ----------------------------------------------------------
@@ -307,12 +297,6 @@ TEST(CliArgs, ProtoDefaultsToLineAndValidatesMembers) {
   ASSERT_TRUE(binary.ok) << binary.error;
   EXPECT_EQ(binary.opt.proto, "binary");
 
-  // Shared with query --bench: the same flag selects the measured codec.
-  const auto bench = parse({"query", "--bench", "--proto", "binary"});
-  ASSERT_TRUE(bench.ok) << bench.error;
-  EXPECT_TRUE(bench.opt.bench);
-  EXPECT_EQ(bench.opt.proto, "binary");
-
   const auto bad = parse({"loadgen", "--proto", "mtbin"});
   EXPECT_FALSE(bad.ok);
   EXPECT_EQ(bad.error, "invalid value for --proto: 'mtbin' (expected line or binary)");
@@ -346,7 +330,6 @@ TEST(CliArgs, UsageTextMentionsEveryCommand) {
     EXPECT_NE(usage.find(cmd), std::string::npos) << cmd;
   }
   EXPECT_NE(usage.find("--snapshot-out"), std::string::npos);
-  EXPECT_NE(usage.find("--bench"), std::string::npos);
   EXPECT_NE(usage.find("--port"), std::string::npos);
   EXPECT_NE(usage.find("--idle-timeout-ms"), std::string::npos);
   EXPECT_NE(usage.find("--reactors"), std::string::npos);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
+#include <string>
 
 namespace mtscope::geo {
 namespace {
@@ -49,6 +51,12 @@ struct ContinentCase {
   const char* country;
   Continent continent;
 };
+
+// Names the case by its country, not by gtest's byte dump of the struct,
+// which holds the country's address and so differs on every run.
+void PrintTo(const ContinentCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.country)) << " " << continent_code(c.continent);
+}
 
 class CountryContinent : public ::testing::TestWithParam<ContinentCase> {};
 

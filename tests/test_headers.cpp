@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "net/checksum.hpp"
 
 namespace mtscope::net {
@@ -129,9 +131,15 @@ TEST(IcmpHeader, RoundTrip) {
 }
 
 struct SynthCase {
+  SynthCase(IpProto p, std::uint16_t length) : proto(p), requested_length(length) {}
+
   IpProto proto;
+  // Fills the padding byte: gtest names each case by a byte dump of the
+  // struct, and indeterminate padding made that name change from run to run.
+  std::uint8_t zero = 0;
   std::uint16_t requested_length;
 };
+static_assert(std::has_unique_object_representations_v<SynthCase>, "SynthCase has padding");
 
 class SynthesizePacket : public ::testing::TestWithParam<SynthCase> {};
 

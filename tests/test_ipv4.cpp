@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace mtscope::net {
 namespace {
 
@@ -20,6 +23,12 @@ struct ParseCase {
   bool valid;
   std::uint32_t value;
 };
+
+// Names the case by its text, not by gtest's byte dump of the struct, which
+// holds the text's address and so differs on every run.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text)) << (c.valid ? " valid" : " invalid");
+}
 
 class Ipv4Parse : public ::testing::TestWithParam<ParseCase> {};
 

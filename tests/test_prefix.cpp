@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace mtscope::net {
 namespace {
 
@@ -38,6 +41,12 @@ struct PrefixParseCase {
   const char* text;
   bool valid;
 };
+
+// Names the case by its text, not by gtest's byte dump of the struct, which
+// holds the text's address and so differs on every run.
+void PrintTo(const PrefixParseCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text)) << (c.valid ? " valid" : " invalid");
+}
 
 class PrefixParse : public ::testing::TestWithParam<PrefixParseCase> {};
 

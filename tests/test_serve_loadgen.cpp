@@ -2,7 +2,8 @@
 // parsing units, the JSON curve writer, and open-/closed-loop smokes
 // against a real in-process QueryServer — every step must account for all
 // of its requests (sent == received, zero errors) and produce sane
-// latency numbers.  Under MTSCOPE_SANITIZE=thread/address this binary
+// latency numbers, and an overloaded open loop must carry its schedule
+// deficit as late sends.  Under MTSCOPE_SANITIZE=thread/address this binary
 // doubles as the tsan_loadgen_smoke / asan_loadgen_smoke sanitizer
 // ctests (sender/receiver threads sharing the in-flight queue, paced
 // against a multi-reactor server).
@@ -266,6 +267,39 @@ TEST(LoadgenRun, ClosedLoopDepthSweep) {
   // Depth 8 keeps more requests in flight than depth 1, so it must
   // complete more of them in the same window.
   EXPECT_GT(run.value()[1].received, run.value()[0].received);
+}
+
+TEST(LoadgenRun, OpenLoopCarriesTheDeficitAndCountsLateSends) {
+  // 50M q/s on one connection is far past what the sender can format and
+  // the server can answer, so the schedule runs ahead of the sends.  The
+  // deficit must be carried — every request timed from when it fell due
+  // and the overdue ones counted late — not silently dropped.
+  LoadgenServer target(1);
+  serve::LoadgenConfig config;
+  config.port = target.server->port();
+  config.mode = serve::LoadMode::kOpen;
+  config.connections = 1;
+  config.steps = {50'000'000};
+  config.warmup_ms = 0;
+  config.measure_ms = 50;
+  config.cooldown_ms = 0;
+  const auto run = serve::run_loadgen(config);
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  expect_clean_steps(run.value(), 1);
+  const auto& step = run.value()[0];
+  EXPECT_GT(step.late, 0u);
+  EXPECT_LE(step.late, step.sent);
+  // A late request's latency includes its wait past the due time (more
+  // than 100us), so with over 1% of sends late the p99 cannot be below it.
+  if (step.late * 100 > step.sent) {
+    EXPECT_GE(step.p99_us, 100u);
+  }
+  // The schedule bounds what is offered: never more than it asked for.
+  EXPECT_LE(step.sent, 50'000'000u / 1000 * 50);
+
+  std::ostringstream out;
+  serve::write_loadgen_json(out, config, run.value());
+  EXPECT_NE(out.str().find("\"late\": " + std::to_string(step.late)), std::string::npos);
 }
 
 }  // namespace

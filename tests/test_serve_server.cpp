@@ -7,7 +7,9 @@
 // drain contract (every queued reply flushed, exit 0).  The MultiReactor
 // suite covers the SO_REUSEPORT fan-out: accept distribution, epoch swap
 // under cross-reactor load, drain with backlogs on several reactors, and
-// the deterministic per-reactor metrics merge.  Under
+// the deterministic per-reactor metrics merge.  The RequestCore suite
+// drives the socket-free request core (answer_requests) directly: every
+// request stream must answer identically however it is split.  Under
 // MTSCOPE_SANITIZE=thread/address this binary doubles as the
 // tsan_server_smoke / asan_server_smoke sanitizer ctests.
 #include "serve/server.hpp"
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "ingest/publish.hpp"
+#include "serve/analytics_format.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/telescope_index.hpp"
 #include "serve/wire.hpp"
@@ -1364,6 +1367,166 @@ TEST(MtbinServer, DifferentialLineVsBinaryOnPaperScaleSnapshot) {
   EXPECT_GT(hits, probes.size() / 2);
   EXPECT_EQ(rs.server->stats().queries, 2 * probes.size());
   EXPECT_EQ(rs.server->stats().invalid, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// RequestCore: answer_requests() with no socket.  The property the
+// reactor relies on: a request stream gives byte-identical replies and
+// identical tallies whether it arrives whole, split at any byte offset, or
+// one byte at a time.
+
+constexpr std::size_t kCoreMaxRequest = 64;
+
+const serve::TelescopeIndex& core_index() {
+  static const serve::TelescopeIndex index(make_snapshot(0));
+  return index;
+}
+
+struct CoreRun {
+  serve::RequestProto proto = serve::RequestProto::kUndecided;
+  std::string replies;
+  std::uint64_t answered = 0;
+  std::uint64_t invalid = 0;
+  std::uint64_t timed = 0;
+  std::size_t consumed = 0;
+  bool fatal = false;
+};
+
+/// Feed `stream` to the core in chunks ending at each of `cuts` (the last
+/// is stream.size()), the way a reactor does: append, answer, drop what
+/// was consumed, stop at a fatal reply; then signal EOF once.
+CoreRun feed_core(std::string_view stream, const std::vector<std::size_t>& cuts) {
+  CoreRun run;
+  obs::TimingHistogram timer;
+  std::string in;
+  const auto answer = [&](bool eof) {
+    const auto tally = serve::answer_requests(run.proto, in, eof, core_index(), kCoreMaxRequest,
+                                              run.replies, &timer);
+    in.erase(0, tally.consumed);
+    run.consumed += tally.consumed;
+    run.answered += tally.replies;
+    run.invalid += tally.invalid;
+    run.fatal = tally.fatal;
+  };
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    in.append(stream.substr(at, cut - at));
+    at = cut;
+    answer(false);
+    if (run.fatal) break;
+  }
+  if (!run.fatal) answer(true);
+  run.timed = timer.count();
+  return run;
+}
+
+/// Whole, every single cut, and byte-at-a-time feeds must agree.  After a
+/// fatal reply the rest of the buffer is dropped, so how much was consumed
+/// depends on how much had arrived; every other field must match.
+void expect_split_invariant(std::string_view stream, const CoreRun& whole) {
+  const auto same = [&](const CoreRun& run, const std::string& how) {
+    EXPECT_EQ(run.proto, whole.proto) << how;
+    EXPECT_EQ(run.replies, whole.replies) << how;
+    EXPECT_EQ(run.answered, whole.answered) << how;
+    EXPECT_EQ(run.invalid, whole.invalid) << how;
+    EXPECT_EQ(run.timed, whole.timed) << how;
+    EXPECT_EQ(run.fatal, whole.fatal) << how;
+    if (!whole.fatal) {
+      EXPECT_EQ(run.consumed, whole.consumed) << how;
+    }
+  };
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    same(feed_core(stream, {cut, stream.size()}), "cut at " + std::to_string(cut));
+  }
+  std::vector<std::size_t> bytewise;
+  for (std::size_t i = 1; i <= stream.size(); ++i) bytewise.push_back(i);
+  same(feed_core(stream, bytewise), "byte at a time");
+}
+
+TEST(RequestCore, LineStreamIsSplitInvariant) {
+  // Valid, bad token, CRLF, comment, blank, analytics verb, padding, and
+  // an unterminated tail that is never answered, not even at EOF.
+  const std::string stream =
+      "10.0.0.7\nnot-an-ip\n192.168.5.9\r\n# comment\n\ntop-ports\n  10.0.1.3  \n10.0.0";
+  const CoreRun whole = feed_core(stream, {stream.size()});
+  EXPECT_EQ(whole.proto, serve::RequestProto::kLine);
+  EXPECT_EQ(whole.replies, expected_line("10.0.0.7", 0) + "\nnot-an-ip invalid\n" +
+                               expected_line("192.168.5.9", 0) + "\n" +
+                               serve::answer_analytics_query(core_index(), "top-ports") + "\n" +
+                               expected_line("10.0.1.3", 0) + "\n");
+  EXPECT_EQ(whole.answered, 5u);
+  EXPECT_EQ(whole.invalid, 1u);
+  EXPECT_EQ(whole.timed, 5u);
+  EXPECT_EQ(whole.consumed, stream.size() - 6);
+  EXPECT_FALSE(whole.fatal);
+  expect_split_invariant(stream, whole);
+}
+
+TEST(RequestCore, OverlongLineKillsTheStreamWhereverItIsSplit) {
+  const std::string overlong(100, 'x');
+  const std::string stream = "10.0.0.7\n" + overlong + "\n10.0.0.8\n";
+  const CoreRun whole = feed_core(stream, {stream.size()});
+  // One sanitized echo capped at 64 bytes, nothing answered after it, and
+  // the kill is counted (answered, invalid, fatal) but never timed.
+  EXPECT_EQ(whole.replies, expected_line("10.0.0.7", 0) + "\n" + overlong.substr(0, 64) +
+                               " invalid\n");
+  EXPECT_EQ(whole.answered, 2u);
+  EXPECT_EQ(whole.invalid, 1u);
+  EXPECT_EQ(whole.timed, 1u);
+  EXPECT_TRUE(whole.fatal);
+  EXPECT_EQ(whole.consumed, stream.size());
+  expect_split_invariant(stream, whole);
+}
+
+TEST(RequestCore, MtbinStreamIsSplitInvariant) {
+  wire::Request count_in;
+  count_in.verb = wire::Verb::kCountIn;
+  count_in.plen = 8;
+  count_in.addr = *net::Ipv4Addr::parse("10.0.1.7");
+  std::string corrupt = lookup_frame("10.0.0.7");
+  corrupt[6] = static_cast<char>(corrupt[6] ^ 0x10);
+
+  std::string stream{wire::kPreamble};
+  stream += lookup_frame("10.0.0.7");
+  wire::append_request(stream, count_in);
+  stream += corrupt;
+  stream += lookup_frame("203.0.113.9");
+  stream += lookup_frame("8.8.8.8").substr(0, 5);  // a partial frame stays buffered
+
+  const CoreRun whole = feed_core(stream, {stream.size()});
+  EXPECT_EQ(whole.proto, serve::RequestProto::kBinary);
+  std::string expected;
+  const auto verdict = [&](const char* ip) {
+    const auto addr = *net::Ipv4Addr::parse(ip);
+    wire::append_response(expected, wire::make_verdict_response(addr, core_index().lookup(addr)));
+  };
+  verdict("10.0.0.7");
+  wire::append_response(expected,
+                        wire::make_count_response(*net::Ipv4Addr::parse("10.0.0.0"), 8, 2));
+  wire::append_response(
+      expected, wire::make_invalid_response(net::Ipv4Addr(0), wire::InvalidReason::kBadCrc));
+  verdict("203.0.113.9");
+  EXPECT_EQ(whole.replies, expected);
+  EXPECT_EQ(whole.answered, 4u);
+  EXPECT_EQ(whole.invalid, 1u);
+  EXPECT_EQ(whole.timed, 4u);
+  EXPECT_EQ(whole.consumed, stream.size() - 5);
+  EXPECT_FALSE(whole.fatal);
+  expect_split_invariant(stream, whole);
+}
+
+TEST(RequestCore, PreamblePrefixAtEofFallsBackToTheLineProtocol) {
+  serve::RequestProto proto = serve::RequestProto::kUndecided;
+  std::string out;
+  const std::string_view prefix = wire::kPreamble.substr(0, 5);
+  auto tally =
+      serve::answer_requests(proto, prefix, false, core_index(), kCoreMaxRequest, out, nullptr);
+  EXPECT_EQ(proto, serve::RequestProto::kUndecided);  // still waiting for bytes
+  EXPECT_EQ(tally.consumed, 0u);
+  tally = serve::answer_requests(proto, prefix, true, core_index(), kCoreMaxRequest, out, nullptr);
+  EXPECT_EQ(proto, serve::RequestProto::kLine);
+  EXPECT_EQ(tally.replies, 0u);
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

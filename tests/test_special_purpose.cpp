@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace mtscope::routing {
 namespace {
 
@@ -12,6 +14,12 @@ struct ReservedCase {
   const char* address;
   bool reserved;
 };
+
+// Names the case by its address, not by gtest's byte dump of the struct,
+// which holds the address string's location and so differs on every run.
+void PrintTo(const ReservedCase& c, std::ostream* os) {
+  *os << c.address << (c.reserved ? " reserved" : " global");
+}
 
 class StandardRegistry : public ::testing::TestWithParam<ReservedCase> {};
 

@@ -71,8 +71,6 @@ const char* usage_text() noexcept {
       "           --analytics (attach the IBR analytics section to the snapshot)\n"
       "  query:   --snapshot FILE (telescope snapshot to serve from)\n"
       "           --ips FILE|- (classify IPs, one per line; - = stdin)\n"
-      "           --bench [--lookups N] [--proto line|binary]\n"
-      "           (measure the per-request protocol pipeline throughput)\n"
       "           --metrics-out FILE (serve.* metrics JSON snapshot)\n"
       "  serve:   --snapshot FILE --port N (TCP query daemon; 0 = kernel-assigned)\n"
       "           --reactors N (event loops w/ SO_REUSEPORT listeners; default 1)\n"
@@ -170,8 +168,6 @@ bool parse_args(int argc, const char* const* argv, Options& opt, std::string& er
       const char* v = p.value_for(arg);
       if (v == nullptr) return false;
       opt.ips_path = v;
-    } else if (arg == "--bench") {
-      opt.bench = true;
     } else if (arg == "--port") {
       unsigned port = 0;
       if (!p.uint_for(arg, port, 0u)) return false;
@@ -232,8 +228,6 @@ bool parse_args(int argc, const char* const* argv, Options& opt, std::string& er
       if (!p.uint_for(arg, opt.measure_ms, 1u)) return false;
     } else if (arg == "--cooldown-ms") {
       if (!p.uint_for(arg, opt.cooldown_ms, 0u)) return false;
-    } else if (arg == "--lookups") {
-      if (!p.uint_for(arg, opt.bench_lookups, std::uint64_t{1})) return false;
     } else if (arg == "--hilbert") {
       unsigned octet = 0;
       if (!p.uint_for(arg, octet, 0u)) return false;

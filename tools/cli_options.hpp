@@ -40,8 +40,6 @@ struct Options {
   // query
   std::string snapshot_path;     // --snapshot FILE (shared with serve)
   std::string ips_path;          // --ips FILE, "-" = stdin
-  bool bench = false;            // --bench: measure lookup throughput
-  std::uint64_t bench_lookups = 2'000'000;
 
   // serve
   int port = -1;                 // --port N (required; 0 = kernel-assigned)
@@ -50,8 +48,7 @@ struct Options {
   unsigned idle_timeout_ms = 30'000;  // --idle-timeout-ms N
   unsigned watch_interval_ms = 0;     // --watch-interval-ms N; 0 = SIGHUP only
 
-  // loadgen (shares --port with serve, --out with stream; --proto is
-  // shared with query --bench)
+  // loadgen (shares --port with serve, --out with stream)
   std::string host = "127.0.0.1";  // --host IP (dotted quad)
   std::string load_mode = "open";  // --mode open|closed
   std::string proto = "line";      // --proto line|binary (MTBIN frames)

@@ -4,8 +4,7 @@
 //                    [--threads N] [--shards M] [--no-tolerance] [--csv FILE]
 //                    [--hilbert OCTET FILE.pgm] [--metrics-out FILE]
 //                    [--snapshot-out FILE] [--analytics]
-//   mtscope query    --snapshot FILE [--ips FILE|-] [--bench [--lookups N]]
-//                    [--metrics-out FILE]
+//   mtscope query    --snapshot FILE --ips FILE|- [--metrics-out FILE]
 //   mtscope serve    --snapshot FILE --port N [--max-conns N]
 //                    [--idle-timeout-ms N] [--watch-interval-ms N]
 //                    [--metrics-out FILE]
@@ -38,13 +37,11 @@
 // default) and answers the same `top-ports` / `outages` / `scanners`
 // queries the TCP server speaks — one formatter, two front ends
 // (DESIGN.md §15).
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,10 +63,8 @@
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/telescope_index.hpp"
-#include "serve/wire.hpp"
 #include "sim/simulation.hpp"
 #include "util/csv.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -469,104 +464,6 @@ int query_stream(const serve::TelescopeIndex& index, std::istream& in,
   return invalid == 0 ? 0 : 1;
 }
 
-/// --bench: time classify() over a deterministic mix of present and
-/// random addresses (roughly half hit when the snapshot is non-empty).
-void bench_lookups(const serve::TelescopeIndex& index, const Options& opt,
-                   obs::MetricsRegistry* metrics) {
-  const std::uint64_t n = opt.bench_lookups;
-  util::Rng rng(opt.seed);
-  std::vector<net::Ipv4Addr> probes;
-  probes.reserve(static_cast<std::size_t>(n));
-  const auto& blocks = index.snapshot().blocks;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!blocks.empty() && (i & 1u) == 0) {
-      const auto& entry = blocks[static_cast<std::size_t>(rng.uniform(blocks.size()))];
-      probes.push_back(net::Ipv4Addr((entry.block_index() << 8) |
-                                     static_cast<std::uint32_t>(rng.uniform(256))));
-    } else {
-      probes.push_back(net::Ipv4Addr(static_cast<std::uint32_t>(
-          rng.uniform(std::uint64_t{1} << 32))));
-    }
-  }
-
-  std::uint64_t hits = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto addr : probes) {
-    hits += index.classify(addr).has_value() ? 1 : 0;
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(stop - start).count();
-  const double qps = seconds > 0 ? static_cast<double>(n) / seconds : 0.0;
-  std::printf("bench: %llu lookups in %.3f ms, %.1f M lookups/s, hit-rate %s\n",
-              static_cast<unsigned long long>(n), seconds * 1e3, qps / 1e6,
-              util::percent(static_cast<double>(hits) /
-                            std::max<std::uint64_t>(1, n)).c_str());
-
-  // Protocol-pipeline leg: the per-request CPU the server spends on the
-  // selected wire protocol — request parse/decode + lookup + reply
-  // format/encode — with no socket in the way.  This is the line-vs-MTBIN
-  // comparison the serve plane's binary protocol exists for.
-  const bool binary = opt.proto == "binary";
-  std::string requests;
-  for (const auto addr : probes) {
-    if (binary) {
-      serve::wire::Request request;
-      request.addr = addr;
-      serve::wire::append_request(requests, request);
-    } else {
-      requests += addr.to_string();
-      requests += '\n';
-    }
-  }
-  std::string replies;
-  std::uint64_t answered = 0;
-  const auto p0 = std::chrono::steady_clock::now();
-  if (binary) {
-    const std::span<const std::uint8_t> bytes(
-        reinterpret_cast<const std::uint8_t*>(requests.data()), requests.size());
-    for (std::size_t off = 0; off + serve::wire::kRequestSize <= bytes.size();
-         off += serve::wire::kRequestSize) {
-      const auto decoded =
-          serve::wire::decode_request(bytes.subspan(off, serve::wire::kRequestSize));
-      if (decoded.ok()) {
-        const auto addr = decoded.value().addr;
-        serve::wire::append_response(replies,
-                                     serve::wire::make_verdict_response(addr, index.lookup(addr)));
-        ++answered;
-      }
-      if (replies.size() > (1u << 24)) replies.clear();  // bound the reply scratch
-    }
-  } else {
-    std::size_t at = 0;
-    for (;;) {
-      const std::size_t newline = requests.find('\n', at);
-      if (newline == std::string::npos) break;
-      const auto token = util::trim(std::string_view(requests).substr(at, newline - at));
-      at = newline + 1;
-      const auto addr = net::Ipv4Addr::parse(token);
-      if (addr.has_value()) {
-        replies += serve::format_verdict(*addr, index.lookup(*addr));
-        replies += '\n';
-        ++answered;
-      }
-      if (replies.size() > (1u << 24)) replies.clear();
-    }
-  }
-  const auto p1 = std::chrono::steady_clock::now();
-  const double proto_seconds = std::chrono::duration<double>(p1 - p0).count();
-  const double proto_qps =
-      proto_seconds > 0 ? static_cast<double>(answered) / proto_seconds : 0.0;
-  std::printf("bench: %s protocol pipeline: %llu requests in %.3f ms, %.1f M req/s\n",
-              opt.proto.c_str(), static_cast<unsigned long long>(answered),
-              proto_seconds * 1e3, proto_qps / 1e6);
-  std::fflush(stdout);  // keep the report ordered against later stderr lines
-  if (metrics != nullptr) {
-    metrics->counter("serve.lookup.total").add(n);
-    metrics->gauge("serve.lookup.qps").set(static_cast<std::int64_t>(qps));
-    metrics->gauge("serve.lookup.proto_qps").set(static_cast<std::int64_t>(proto_qps));
-  }
-}
-
 /// The operated telescope: serve verdicts over TCP until SIGTERM/SIGINT
 /// drains us (exit 0).  SIGHUP atomically reloads --snapshot — point the
 /// path at the file `infer --snapshot-out` rewrites and the daemon picks
@@ -674,10 +571,11 @@ int cmd_loadgen(const Options& opt) {
   for (const auto& step : results.value()) {
     std::fprintf(stderr,
                  "  step %llu: offered %.0f q/s, achieved %.0f q/s, "
-                 "p50 %llu us, p99 %llu us, %llu error(s)\n",
+                 "p50 %llu us, p99 %llu us, %llu late send(s), %llu error(s)\n",
                  static_cast<unsigned long long>(step.target), step.offered_qps,
                  step.achieved_qps, static_cast<unsigned long long>(step.p50_us),
                  static_cast<unsigned long long>(step.p99_us),
+                 static_cast<unsigned long long>(step.late),
                  static_cast<unsigned long long>(step.errors));
   }
 
@@ -730,9 +628,8 @@ int cmd_query(const Options& opt) {
       status = query_stream(*index, in, metrics);
     }
   }
-  if (opt.bench) bench_lookups(*index, opt, metrics);
-  if (opt.ips_path.empty() && !opt.bench) {
-    std::fprintf(stderr, "nothing to do: pass --ips FILE|- and/or --bench\n");
+  if (opt.ips_path.empty()) {
+    std::fprintf(stderr, "nothing to do: pass --ips FILE|-\n");
     status = 1;
   }
 
