@@ -1,10 +1,13 @@
-// Analytics-plane costs on a simulated multi-IXP week, three stages
+// Analytics-plane costs on a simulated multi-IXP week, four stages
 // (DESIGN.md §15):
 //
 //   * matrix build rate — collect_stats with the IBR analytics tap off vs
 //     on (same workload, same thread/shard grid), so the tap's overhead is
 //     a measured number instead of folklore, plus the parallel matrix
 //     checked cell-for-cell against a serial single-shard oracle;
+//   * window merge — the per-day slice matrices folded the way
+//     SlidingWindow::merged folds them (copy the oldest, merge the rest in
+//     day order), checked cell-for-cell against the whole-week matrix;
 //   * rollup throughput — build_analytics over the collected matrix and
 //     the published snapshot (the meta-telescope intersect, labeling, the
 //     detector, service and scanner rankings in one pass);
@@ -48,17 +51,8 @@ double now_ms() {
 }
 
 bool matrices_equal(const analytics::IbrMatrix& a, const analytics::IbrMatrix& b) {
-  const auto rx_a = a.rx_cells();
-  const auto rx_b = b.rx_cells();
-  if (rx_a.size() != rx_b.size()) return false;
-  for (std::size_t i = 0; i < rx_a.size(); ++i) {
-    if (rx_a[i].block != rx_b[i].block || rx_a[i].port != rx_b[i].port ||
-        rx_a[i].day != rx_b[i].day || rx_a[i].packets != rx_b[i].packets) {
-      return false;
-    }
-  }
-  return a.src_port_count() == b.src_port_count() &&
-         a.src_touch_count() == b.src_touch_count();
+  return a.rx_cells() == b.rx_cells() && a.src_ports() == b.src_ports() &&
+         a.src_touches() == b.src_touches();
 }
 
 }  // namespace
@@ -134,7 +128,32 @@ int main() {
       kThreads, kShards, base_collect_ms, tap_collect_ms, overhead_pct,
       stats.ibr().rx_cell_count(), tap_flows_per_s / 1e6);
 
-  // --- stage 2: rollup (build_analytics) over the published map -------------
+  // --- stage 2: the window merge over per-day slices -----------------------
+  std::vector<pipeline::VantageStats> slices;
+  for (const int day : days) {
+    pipeline::CollectOptions options;
+    options.threads = kThreads;
+    options.shards = kShards;
+    options.analytics = true;
+    const int one_day[] = {day};
+    slices.push_back(pipeline::collect_stats(simulation, ixps, one_day, options));
+  }
+  double merge_ms = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_ms();
+    analytics::IbrMatrix window = slices.front().ibr();
+    for (std::size_t i = 1; i < slices.size(); ++i) window.merge(slices[i].ibr());
+    const double ms = now_ms() - t0;
+    if (rep == 0 || ms < merge_ms) merge_ms = ms;
+    if (rep == 0 && !matrices_equal(window, stats.ibr())) {
+      bit_identical = false;
+      std::printf("  !! the merged day slices diverged from the whole-week matrix\n");
+    }
+  }
+  std::printf("  window merge        %8.1f ms  (%zu day slices -> %zu rx cells)\n", merge_ms,
+              slices.size(), stats.ibr().rx_cell_count());
+
+  // --- stage 3: rollup (build_analytics) over the published map -------------
   const auto registry = routing::SpecialPurposeRegistry::standard();
   pipeline::PipelineConfig pipeline_config;
   pipeline_config.volume_scale = simulation.config().volume_scale;
@@ -170,7 +189,7 @@ int main() {
       rollup_ms, cells_per_s / 1e6, analytics_data.cells.size(),
       analytics_data.outages.size(), analytics_data.scanners.size());
 
-  // --- stage 3: the detector alone over the dense series --------------------
+  // --- stage 4: the detector alone over the dense series --------------------
   std::vector<analytics::PrefixDaySeries> dense;
   for (const serve::SeriesPoint& p : analytics_data.series) {
     if (dense.empty() || dense.back().prefix_id != p.prefix_id) {
@@ -223,6 +242,8 @@ int main() {
        << ", \"collect_ms\": " << tap_collect_ms
        << ", \"overhead_pct\": " << overhead_pct
        << ", \"flows_per_s\": " << tap_flows_per_s << "},\n"
+       << "  \"window\": {\"slices\": " << slices.size() << ", \"merge_ms\": " << merge_ms
+       << "},\n"
        << "  \"rollup\": {\"build_ms\": " << rollup_ms
        << ", \"cells_per_s\": " << cells_per_s
        << ", \"kept_cells\": " << analytics_data.cells.size()

@@ -3,30 +3,32 @@
 # Two tiers, mirroring cmake/parallel_gate.cmake:
 #
 #   * Correctness + coverage gate, always on: bit_identical must be true
-#     (the parallel matrix matched the serial oracle, build_analytics was
-#     deterministic across repetitions, and the ANALYTICS section
-#     round-tripped byte-identically), the workload must have ingested
+#     (the parallel matrix matched the serial oracle, the merged day slices
+#     matched the whole-week matrix, build_analytics was deterministic
+#     across repetitions, and the ANALYTICS section round-tripped
+#     byte-identically), the workload must have ingested
 #     flows and produced matrix cells, and every timed stage must carry a
 #     positive measurement — a silently-skipped or degenerate bench fails
 #     loudly.
 #   * Tap overhead ceiling, context-gated: the analytics tap may slow the
-#     collect by at most TAP_OVERHEAD_CEILING_PCT percent (default 150) —
+#     collect by at most TAP_OVERHEAD_CEILING_PCT percent (default 100) —
 #     but only when the recorded meta block says the bench had at least
 #     MIN_CORES_FOR_RATIO effective cores.  On an oversubscribed
 #     single-core container the off/on delta measures scheduler weather,
 #     not the tap.
 #
-#   cmake -DBENCH_JSON=<path> [-DTAP_OVERHEAD_CEILING_PCT=150] \
+#   cmake -DBENCH_JSON=<path> [-DTAP_OVERHEAD_CEILING_PCT=100] \
 #         [-DMIN_CORES_FOR_RATIO=2] -P analytics_gate.cmake
 #
-# The ceiling is deliberately generous: it catches the tap accidentally
-# becoming a second collect pass (the regression class this gate exists
-# for), not run-to-run noise.  Tighten only with pinned CI hardware.
+# The ceiling comes from measurement: the sorted-run tap costs a median
+# 34.5% (range 24-69%, 13 MTSCOPE_BENCH_SCALE=small runs on a 4-core
+# host), and the 65-point margin absorbs slower runners.  It catches the
+# tap becoming a second collect pass, not run-to-run noise.
 if(NOT DEFINED BENCH_JSON)
   message(FATAL_ERROR "pass -DBENCH_JSON=<path to BENCH_analytics.json>")
 endif()
 if(NOT DEFINED TAP_OVERHEAD_CEILING_PCT)
-  set(TAP_OVERHEAD_CEILING_PCT 150)
+  set(TAP_OVERHEAD_CEILING_PCT 100)
 endif()
 if(NOT DEFINED MIN_CORES_FOR_RATIO)
   set(MIN_CORES_FOR_RATIO 2)
@@ -72,11 +74,12 @@ if(flows LESS_EQUAL 0 OR rx_cells LESS_EQUAL 0)
 endif()
 
 json_int(collect_ms tap collect_ms)
+json_int(merge_ms window merge_ms)
 json_int(rollup_ms rollup build_ms)
-if(collect_ms LESS_EQUAL 0 OR rollup_ms LESS 0)
+if(collect_ms LESS_EQUAL 0 OR merge_ms LESS 0 OR rollup_ms LESS 0)
   message(FATAL_ERROR
     "analytics gate: degenerate measurement (tap collect_ms=${collect_ms}, "
-    "rollup build_ms=${rollup_ms})")
+    "window merge_ms=${merge_ms}, rollup build_ms=${rollup_ms})")
 endif()
 
 json_int(kept_cells rollup kept_cells)

@@ -1,82 +1,114 @@
 #include "analytics/ibr_matrix.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 namespace mtscope::analytics {
 
 namespace {
 
-constexpr std::size_t kInitialCapacity = 1024;  // power of two
+/// Sort `pairs` by key: LSD radix sort, one stable counting pass per key
+/// byte that actually varies (a day slice's rx keys share their day bytes,
+/// every key its top byte, so those passes are skipped).
+void radix_sort(std::vector<KeyCount>& pairs) {
+  constexpr int kBytes = 8;
+  std::vector<std::array<std::size_t, 256>> counts(kBytes);
+  for (auto& c : counts) c.fill(0);
+  for (const KeyCount& p : pairs) {
+    for (int b = 0; b < kBytes; ++b) ++counts[b][(p.key >> (8 * b)) & 0xffu];
+  }
+  std::vector<KeyCount> buffer(pairs.size());
+  for (int b = 0; b < kBytes; ++b) {
+    std::array<std::size_t, 256>& count = counts[b];
+    if (std::find(count.begin(), count.end(), pairs.size()) != count.end()) continue;
+    std::size_t offset = 0;
+    for (std::size_t& c : count) offset += std::exchange(c, offset);
+    for (const KeyCount& p : pairs) buffer[count[(p.key >> (8 * b)) & 0xffu]++] = p;
+    pairs.swap(buffer);
+  }
+}
 
-/// splitmix64 finalizer: full-avalanche mix so packed keys (which differ
-/// only in low bits for adjacent ports/days) spread across the table.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+/// Sort `pairs` by key and sum equal keys in place, leaving one entry per
+/// key.
+void sort_reduce(std::vector<KeyCount>& pairs) {
+  radix_sort(pairs);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (out > 0 && pairs[out - 1].key == pairs[i].key) {
+      pairs[out - 1].count += pairs[i].count;
+    } else {
+      pairs[out++] = pairs[i];
+    }
+  }
+  pairs.resize(out);
+}
+
+/// Linear merge of two reduced runs, summing the keys both hold.
+std::vector<KeyCount> merge_runs(std::span<const KeyCount> a, std::span<const KeyCount> b) {
+  std::vector<KeyCount> out;
+  out.reserve(a.size() + b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].key < b[j].key) {
+      out.push_back(a[i++]);
+    } else if (b[j].key < a[i].key) {
+      out.push_back(b[j++]);
+    } else {
+      out.push_back({a[i].key, a[i].count + b[j].count});
+      ++i;
+      ++j;
+    }
+  }
+  out.insert(out.end(), a.begin() + static_cast<std::ptrdiff_t>(i), a.end());
+  out.insert(out.end(), b.begin() + static_cast<std::ptrdiff_t>(j), b.end());
+  return out;
+}
+
+/// Unpack a run's reduced contents, in key order, with `decode`.
+template <typename Cell, typename Decode>
+std::vector<Cell> decode_run(const KeyCountRun& run, Decode decode) {
+  std::vector<KeyCount> scratch;
+  const std::span<const KeyCount> reduced = run.reduced(scratch);
+  std::vector<Cell> out;
+  out.reserve(reduced.size());
+  for (const KeyCount& c : reduced) out.push_back(decode(c));
+  return out;
 }
 
 }  // namespace
 
-std::size_t CounterTable::slot_for(std::uint64_t key) const noexcept {
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(mix(key)) & mask;
-  while (used_[slot] != 0 && keys_[slot] != key) slot = (slot + 1) & mask;
-  return slot;
+void KeyCountRun::reduce() {
+  if (pending_.empty()) return;
+  sort_reduce(pending_);
+  run_ = merge_runs(run_, pending_);
+  pending_.clear();
 }
 
-void CounterTable::grow(std::size_t min_capacity) {
-  std::size_t capacity = keys_.empty() ? kInitialCapacity : keys_.size() * 2;
-  while (capacity < min_capacity) capacity *= 2;
-
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<std::uint64_t> old_values = std::move(values_);
-  std::vector<std::uint8_t> old_used = std::move(used_);
-  keys_.assign(capacity, 0);
-  values_.assign(capacity, 0);
-  used_.assign(capacity, 0);
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_used[i] == 0) continue;
-    const std::size_t slot = slot_for(old_keys[i]);
-    keys_[slot] = old_keys[i];
-    values_[slot] = old_values[i];
-    used_[slot] = 1;
-  }
+void KeyCountRun::seal() {
+  reduce();
+  std::vector<KeyCount>().swap(pending_);
 }
 
-void CounterTable::add(std::uint64_t key, std::uint64_t delta) {
-  // Grow at ~0.7 load so probe chains stay short.
-  if (keys_.empty() || size_ * 10 >= keys_.size() * 7) grow(keys_.size() + 1);
-  const std::size_t slot = slot_for(key);
-  if (used_[slot] == 0) {
-    keys_[slot] = key;
-    used_[slot] = 1;
-    ++size_;
-  }
-  values_[slot] += delta;
+void KeyCountRun::merge(const KeyCountRun& other) {
+  seal();
+  std::vector<KeyCount> scratch;
+  const std::span<const KeyCount> theirs = other.reduced(scratch);
+  if (!theirs.empty()) run_ = merge_runs(run_, theirs);
 }
 
-std::uint64_t CounterTable::find(std::uint64_t key) const noexcept {
-  if (keys_.empty()) return 0;
-  const std::size_t slot = slot_for(key);
-  return used_[slot] != 0 ? values_[slot] : 0;
+std::span<const KeyCount> KeyCountRun::reduced(std::vector<KeyCount>& scratch) const {
+  if (pending_.empty()) return run_;
+  scratch = pending_;
+  sort_reduce(scratch);
+  scratch = merge_runs(run_, scratch);
+  return scratch;
 }
 
-void CounterTable::merge(const CounterTable& other) {
-  for (std::size_t i = 0; i < other.keys_.size(); ++i) {
-    if (other.used_[i] != 0) add(other.keys_[i], other.values_[i]);
-  }
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> CounterTable::sorted() const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (used_[i] != 0) out.emplace_back(keys_[i], values_[i]);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+std::size_t KeyCountRun::size() const {
+  std::vector<KeyCount> scratch;
+  return reduced(scratch).size();
 }
 
 void IbrMatrix::add_flow(std::uint32_t src_block, std::uint32_t dst_block,
@@ -85,10 +117,10 @@ void IbrMatrix::add_flow(std::uint32_t src_block, std::uint32_t dst_block,
   first_day_ = std::min(first_day_, day);
   last_day_ = std::max(last_day_, day);
   const std::uint64_t day16 = static_cast<std::uint64_t>(day) & 0xffffu;
-  rx_.add((std::uint64_t{dst_block} << 32) | (std::uint64_t{dst_port} << 16) | day16,
-          est_packets);
-  src_ports_.add((std::uint64_t{src_block} << 16) | dst_port, est_packets);
-  src_touch_.add((std::uint64_t{src_block} << 24) | dst_block, est_packets);
+  rx_.append((std::uint64_t{dst_block} << 32) | (std::uint64_t{dst_port} << 16) | day16,
+             est_packets);
+  src_ports_.append((std::uint64_t{src_block} << 16) | dst_port, est_packets);
+  src_touch_.append((std::uint64_t{src_block} << 24) | dst_block, est_packets);
 }
 
 void IbrMatrix::add_batch(const flow::FlowBatch& batch, std::span<const std::uint32_t> rows,
@@ -103,6 +135,12 @@ void IbrMatrix::add_batch(const flow::FlowBatch& batch, std::span<const std::uin
   }
 }
 
+void IbrMatrix::seal() {
+  rx_.seal();
+  src_ports_.seal();
+  src_touch_.seal();
+}
+
 void IbrMatrix::merge(const IbrMatrix& other) {
   enabled_ = enabled_ || other.enabled_;
   first_day_ = std::min(first_day_, other.first_day_);
@@ -113,34 +151,25 @@ void IbrMatrix::merge(const IbrMatrix& other) {
 }
 
 std::vector<IbrMatrix::RxCell> IbrMatrix::rx_cells() const {
-  std::vector<RxCell> out;
-  out.reserve(rx_.size());
-  for (const auto& [key, value] : rx_.sorted()) {
-    out.push_back({static_cast<std::uint32_t>(key >> 32),
-                   static_cast<std::uint16_t>((key >> 16) & 0xffffu),
-                   static_cast<std::uint16_t>(key & 0xffffu), value});
-  }
-  return out;
+  return decode_run<RxCell>(rx_, [](const KeyCount& c) {
+    return RxCell{static_cast<std::uint32_t>(c.key >> 32),
+                  static_cast<std::uint16_t>((c.key >> 16) & 0xffffu),
+                  static_cast<std::uint16_t>(c.key & 0xffffu), c.count};
+  });
 }
 
 std::vector<IbrMatrix::SrcPort> IbrMatrix::src_ports() const {
-  std::vector<SrcPort> out;
-  out.reserve(src_ports_.size());
-  for (const auto& [key, value] : src_ports_.sorted()) {
-    out.push_back({static_cast<std::uint32_t>(key >> 16),
-                   static_cast<std::uint16_t>(key & 0xffffu), value});
-  }
-  return out;
+  return decode_run<SrcPort>(src_ports_, [](const KeyCount& c) {
+    return SrcPort{static_cast<std::uint32_t>(c.key >> 16),
+                   static_cast<std::uint16_t>(c.key & 0xffffu), c.count};
+  });
 }
 
 std::vector<IbrMatrix::SrcTouch> IbrMatrix::src_touches() const {
-  std::vector<SrcTouch> out;
-  out.reserve(src_touch_.size());
-  for (const auto& [key, value] : src_touch_.sorted()) {
-    out.push_back({static_cast<std::uint32_t>(key >> 24),
-                   static_cast<std::uint32_t>(key & 0xffffffu), value});
-  }
-  return out;
+  return decode_run<SrcTouch>(src_touch_, [](const KeyCount& c) {
+    return SrcTouch{static_cast<std::uint32_t>(c.key >> 24),
+                    static_cast<std::uint32_t>(c.key & 0xffffffu), c.count};
+  });
 }
 
 }  // namespace mtscope::analytics

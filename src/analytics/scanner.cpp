@@ -36,14 +36,13 @@ std::vector<ServicePortStat> top_services(std::span<const LabeledPortCount> cell
   return out;
 }
 
-std::vector<ScannerProfile> top_scanners(const IbrMatrix& matrix,
-                                         const std::function<bool(std::uint32_t)>& in_map,
+std::vector<ScannerProfile> top_scanners(const IbrMatrix& matrix, const trie::Block24Set& map,
                                          std::size_t limit) {
   // src_touches is sorted by (src, dst), so each source's run is
   // contiguous: fold coverage and volume in one pass.
   std::vector<ScannerProfile> profiles;
   for (const IbrMatrix::SrcTouch& touch : matrix.src_touches()) {
-    if (!in_map(touch.dst_block)) continue;
+    if (!map.contains(net::Block24(touch.dst_block))) continue;
     if (profiles.empty() || profiles.back().src_block != touch.src_block) {
       profiles.push_back({touch.src_block, 0, 0, 0});
     }

@@ -2,10 +2,13 @@
 //
 //   top_services — the most scanned destination ports per (continent,
 //     network-type) group, the paper's Figure 11/12 regional-skew view.
-//     Counting rides telemetry::SpaceSaving so the per-group state stays
-//     bounded no matter how many distinct ports the radiation touches;
-//     at map scale the monitors are far larger than the live port set,
-//     so the estimates are exact.
+//     Counting rides telemetry::SpaceSaving (256 monitors per group) so
+//     the per-group state stays bounded no matter how many distinct ports
+//     the radiation touches.  The rankings are Space-Saving estimates, not
+//     exact counts: a full 7-day window can hold over 15k distinct ports
+//     in one group.  What the sketch guarantees is that every port
+//     carrying more than 1/256 of its group's packets is monitored, with
+//     a count that overestimates by at most its recorded error bound.
 //
 //   top_scanners — per-source fan-out profiles: for each source /24,
 //     how many map blocks it touched (block coverage), how many distinct
@@ -20,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "analytics/ibr_matrix.hpp"
+#include "trie/block24_set.hpp"
 
 namespace mtscope::analytics {
 
@@ -65,12 +68,12 @@ struct ScannerProfile {
 };
 
 /// Rank sources by estimated packets into the map (descending, ties by
-/// source block ascending), keeping the top `limit`.  `in_map` filters
-/// destination blocks to the published map; port breadth is a property of
-/// the source across all its observed traffic (a scanner's port set does
-/// not depend on which of its targets the map kept).
-[[nodiscard]] std::vector<ScannerProfile> top_scanners(
-    const IbrMatrix& matrix, const std::function<bool(std::uint32_t)>& in_map,
-    std::size_t limit = 64);
+/// source block ascending), keeping the top `limit`.  `map` holds the
+/// published blocks and filters the destinations; port breadth is a
+/// property of the source across all its observed traffic (a scanner's
+/// port set does not depend on which of its targets the map kept).
+[[nodiscard]] std::vector<ScannerProfile> top_scanners(const IbrMatrix& matrix,
+                                                       const trie::Block24Set& map,
+                                                       std::size_t limit = 64);
 
 }  // namespace mtscope::analytics

@@ -121,6 +121,9 @@ VantageStats ParallelCollector::collect(std::span<const std::size_t> ixp_indices
         record_dataset_metrics(*my_metrics, simulation_, tasks[t].ixp, data);
       }
     }
+    // The worker's bulk write ends here: its shard matrices reach the
+    // merge as sorted runs.
+    for (VantageStats& shard : mine) shard.seal_analytics();
   };
 
   // threads <= 1 runs the same staged engine inline: no pool, no thread

@@ -72,12 +72,13 @@ void VantageStats::add_flows(std::span<const flow::FlowRecord> flows,
   if (ibr_.enabled()) {
     // Per-record analytics tap — the serial twin of add_analytics_batch
     // (same values per record, commutative sums, so both paths fold to
-    // bit-identical matrices).
+    // bit-identical matrices).  One dataset is one bulk write: seal it.
     for (const flow::FlowRecord& r : flows) {
       ibr_.add_flow(net::Block24::containing(r.key.src).index(),
                     net::Block24::containing(r.key.dst).index(), r.key.dst_port, day,
                     r.packets * sampling_rate);
     }
+    ibr_.seal();
   }
 }
 

@@ -128,6 +128,11 @@ class VantageStats {
     ibr_.add_batch(batch, rows, day);
   }
 
+  /// End of a run of add_analytics_batch calls: sort-reduce the matrix's
+  /// pending pairs (see IbrMatrix::seal).  The collector calls it once per
+  /// worker, before the shard merge.
+  void seal_analytics() { ibr_.seal(); }
+
   /// Pre-size the underlying store for `blocks` rows (see
   /// BlockStatsStore::reserve_rows).
   void reserve_blocks(std::size_t blocks) { store_.reserve_rows(blocks); }

@@ -9,6 +9,7 @@
 
 #include "analytics/scanner.hpp"
 #include "serve/server.hpp"
+#include "trie/block24_set.hpp"
 #include "util/strings.hpp"
 
 namespace mtscope::serve {
@@ -250,13 +251,9 @@ AnalyticsData build_analytics(const analytics::IbrMatrix& matrix,
 
   out.services = analytics::top_services(labeled);
 
-  const auto in_map = [&snapshot](std::uint32_t block) {
-    const auto it = std::lower_bound(
-        snapshot.blocks.begin(), snapshot.blocks.end(), block,
-        [](const BlockEntry& e, std::uint32_t b) { return e.block_index() < b; });
-    return it != snapshot.blocks.end() && it->block_index() == block;
-  };
-  out.scanners = analytics::top_scanners(matrix, in_map);
+  trie::Block24Set map;
+  for (const BlockEntry& b : snapshot.blocks) map.insert(b.block());
+  out.scanners = analytics::top_scanners(matrix, map);
   return out;
 }
 

@@ -447,7 +447,7 @@ class QueryServer::Reactor {
       loop_.add(fd, conn->interest);
       if (conns_.empty()) next_sweep_ = Clock::now() + std::chrono::milliseconds(sweep_cadence_ms());
       conns_.emplace(fd, std::move(conn));
-      server_.active_.fetch_add(1, std::memory_order_relaxed);
+      server_.note_accept();
 
       accepted_.fetch_add(1, std::memory_order_relaxed);
       server_.connections_.fetch_add(1, std::memory_order_relaxed);
@@ -705,6 +705,7 @@ ServerStats QueryServer::stats() const noexcept {
   ServerStats s;
   s.connections = connections_.load(std::memory_order_relaxed);
   s.active = active_.load(std::memory_order_relaxed);
+  s.peak_active = peak_active_.load(std::memory_order_relaxed);
   s.queries = queries_.load(std::memory_order_relaxed);
   s.invalid = invalid_.load(std::memory_order_relaxed);
   s.reloads = reloads_.load(std::memory_order_relaxed);
@@ -751,17 +752,32 @@ int QueryServer::run() {
     if (s.reload_failures > 0) {
       metrics_->counter("serve.server.reload_failures").add(s.reload_failures);
     }
-    metrics_->gauge("serve.server.active").max_with(static_cast<std::int64_t>(s.active));
+    // Peak concurrency: by now the drain has closed every connection, so
+    // the live count would always read 0.
+    metrics_->gauge("serve.server.active").max_with(static_cast<std::int64_t>(s.peak_active));
     auto& request_timer = metrics_->timer("serve.server.request_us");
     for (const auto& reactor : reactors_) request_timer.merge(*reactor->request_timer());
   }
   return 0;
 }
 
+void QueryServer::note_accept() noexcept {
+  const std::uint64_t now_open = active_.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::uint64_t peak = peak_active_.load(std::memory_order_relaxed);
+  while (peak < now_open &&
+         !peak_active_.compare_exchange_weak(peak, now_open, std::memory_order_relaxed)) {
+  }
+}
+
 void QueryServer::do_reload() {
-  const auto installed = manager_.load_and_install(config_.snapshot_path, metrics_);
-  if (installed.ok()) {
-    reloads_.fetch_add(1, std::memory_order_relaxed);
+  auto loaded = TelescopeIndex::load_file(config_.snapshot_path, metrics_);
+  if (loaded.ok()) {
+    // Count before the install: the install's acq_rel epoch bump orders
+    // this increment before the new epoch, so a reader that observes the
+    // epoch (acquire) also observes the reload — the counter may lead the
+    // epoch, never lag it.
+    reloads_.fetch_add(1, std::memory_order_release);
+    manager_.install(std::move(loaded).value(), metrics_);
   } else {
     // The previous epoch keeps serving; operators see the failure in the
     // stats and the unchanged serve.snapshot.epoch gauge.

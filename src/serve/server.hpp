@@ -168,6 +168,7 @@ struct ServerConfig {
 struct ServerStats {
   std::uint64_t connections = 0;  // accepted, lifetime
   std::uint64_t active = 0;       // currently open
+  std::uint64_t peak_active = 0;  // most open at once, lifetime
   std::uint64_t queries = 0;      // replies produced, lines or frames (incl. invalid)
   std::uint64_t invalid = 0;      // malformed requests (bad lines, bad frames)
   std::uint64_t reloads = 0;      // successful snapshot swaps
@@ -181,8 +182,9 @@ class QueryServer {
  public:
   /// With a registry, run() reports serve.server.{connections,active,
   /// queries,invalid,timeouts,drops,partial_flushes} (plus reloads and
-  /// reload_failures once one happened) from the ServerStats totals, and
-  /// the serve.server.request_us latency histogram, which each reactor
+  /// reload_failures once one happened) from the ServerStats totals —
+  /// serve.server.active is peak_active, the most connections open at
+  /// once — and the serve.server.request_us latency histogram, which each reactor
   /// records privately and run() pools in reactor-index order — so the
   /// snapshot is deterministic for the same work regardless of
   /// scheduling.  Read it after run() returns.
@@ -234,6 +236,7 @@ class QueryServer {
   class Reactor;
 
   void do_reload();     // reactor 0's thread only: the swap itself
+  void note_accept() noexcept;  // active_ + 1, raising peak_active_
   void check_watch();   // reactor 0's thread only: watch-mode poll
 
   /// File identity for watch mode: a successful atomic publish always
@@ -268,7 +271,9 @@ class QueryServer {
   // fetch_add — sums commute).  active_ mirrors the live connection count
   // because stats() must not touch the reactor-owned maps from another
   // thread; it is also what enforces max_conns across reactors.
+  // peak_active_ is its high-water mark, raised at accept time.
   std::atomic<std::uint64_t> active_{0};
+  std::atomic<std::uint64_t> peak_active_{0};
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> invalid_{0};

@@ -1,8 +1,9 @@
 // The IBR analytics subsystem (DESIGN.md §15), proven in layers:
 //
-//  * the sparse counter tables and the IbrMatrix itself — key packing,
-//    growth, the commutative merge contract, and the batched tap's
-//    bit-identicality to the per-record path;
+//  * the IbrMatrix itself — key packing, the sorted-run tap and its
+//    reduce threshold, the commutative merge contract, and the batched
+//    tap's bit-identicality to the per-record path, each against a
+//    std::map oracle;
 //  * the collect differential — the matrix a thread/shard collect grid
 //    produces must equal the serial per-record oracle's, and the sliding
 //    window's incrementally folded matrix must equal a from-scratch batch
@@ -32,6 +33,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -53,6 +56,7 @@
 #include "serve/snapshot.hpp"
 #include "serve/telescope_index.hpp"
 #include "sim/simulation.hpp"
+#include "trie/block24_set.hpp"
 #include "util/rng.hpp"
 
 namespace mtscope {
@@ -100,55 +104,6 @@ void expect_matrix_equal(const IbrMatrix& x, const IbrMatrix& y) {
     EXPECT_EQ(x.first_day(), y.first_day());
     EXPECT_EQ(x.last_day(), y.last_day());
   }
-}
-
-// ---------------------------------------------------------------------------
-// CounterTable: the open-addressing substrate.
-
-TEST(AnalyticsCounterTable, AddsSumAndAbsentKeysReadZero) {
-  analytics::CounterTable table;
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.find(7), 0u);
-
-  table.add(7, 5);
-  table.add(7, 10);
-  table.add(0, 3);  // key 0 must be a first-class citizen (block 0, port 0, day 0)
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.find(7), 15u);
-  EXPECT_EQ(table.find(0), 3u);
-  EXPECT_EQ(table.find(8), 0u);
-}
-
-TEST(AnalyticsCounterTable, GrowthPreservesEveryEntry) {
-  analytics::CounterTable table;
-  constexpr std::uint64_t kEntries = 50'000;  // forces several rehashes
-  util::Rng rng(11);
-  for (std::uint64_t i = 0; i < kEntries; ++i) {
-    // Adjacent packed keys differ only in low bits — the worst case the
-    // splitmix finalizer exists for.
-    table.add(i, i + 1);
-  }
-  EXPECT_EQ(table.size(), kEntries);
-  for (int probe = 0; probe < 1000; ++probe) {
-    const std::uint64_t key = rng.uniform(kEntries);
-    EXPECT_EQ(table.find(key), key + 1);
-  }
-  const auto sorted = table.sorted();
-  ASSERT_EQ(sorted.size(), kEntries);
-  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-}
-
-TEST(AnalyticsCounterTable, MergeIsPerKeySum) {
-  analytics::CounterTable a, b;
-  a.add(1, 10);
-  a.add(2, 20);
-  b.add(2, 5);
-  b.add(3, 7);
-  a.merge(b);
-  EXPECT_EQ(a.find(1), 10u);
-  EXPECT_EQ(a.find(2), 25u);
-  EXPECT_EQ(a.find(3), 7u);
-  EXPECT_EQ(a.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,6 +210,211 @@ TEST(AnalyticsMatrix, MergeCommutesAndFoldsSums) {
   expect_matrix_equal(ab, whole);
   EXPECT_EQ(ab.first_day(), 0);
   EXPECT_EQ(ab.last_day(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Sorted runs against a std::map oracle: random interleavings of add_flow,
+// add_batch, seal and merge (both orders, operands still holding pending
+// pairs), bulk writes past the reduce threshold, key 0 and day 0xffff,
+// disabled and empty matrices.
+
+struct MatrixOracle {
+  bool enabled = false;
+  int first_day = std::numeric_limits<int>::max();
+  int last_day = std::numeric_limits<int>::min();
+  std::map<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t>, std::uint64_t> rx;
+  std::map<std::pair<std::uint32_t, std::uint16_t>, std::uint64_t> src_ports;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> src_touch;
+
+  void add(std::uint32_t src, std::uint32_t dst, std::uint16_t port, int day,
+           std::uint64_t packets) {
+    if (!enabled) return;
+    first_day = std::min(first_day, day);
+    last_day = std::max(last_day, day);
+    rx[{dst, port, static_cast<std::uint16_t>(day & 0xffff)}] += packets;
+    src_ports[{src, port}] += packets;
+    src_touch[{src, dst}] += packets;
+  }
+
+  void merge(const MatrixOracle& other) {
+    enabled = enabled || other.enabled;
+    first_day = std::min(first_day, other.first_day);
+    last_day = std::max(last_day, other.last_day);
+    for (const auto& [k, v] : other.rx) rx[k] += v;
+    for (const auto& [k, v] : other.src_ports) src_ports[k] += v;
+    for (const auto& [k, v] : other.src_touch) src_touch[k] += v;
+  }
+};
+
+void expect_matches_oracle(const IbrMatrix& m, const MatrixOracle& o) {
+  EXPECT_EQ(m.enabled(), o.enabled);
+  EXPECT_EQ(m.empty(), o.rx.empty());
+  EXPECT_EQ(m.rx_cell_count(), o.rx.size());
+  EXPECT_EQ(m.src_port_count(), o.src_ports.size());
+  EXPECT_EQ(m.src_touch_count(), o.src_touch.size());
+  if (!o.rx.empty()) {
+    EXPECT_EQ(m.first_day(), o.first_day);
+    EXPECT_EQ(m.last_day(), o.last_day);
+  }
+  std::vector<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t, std::uint64_t>> rx;
+  for (const auto& [k, v] : o.rx) rx.emplace_back(std::get<0>(k), std::get<1>(k), std::get<2>(k), v);
+  EXPECT_EQ(rx_tuples(m), rx);
+  std::vector<std::tuple<std::uint32_t, std::uint16_t, std::uint64_t>> ports;
+  for (const auto& [k, v] : o.src_ports) ports.emplace_back(k.first, k.second, v);
+  EXPECT_EQ(src_port_tuples(m), ports);
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>> touches;
+  for (const auto& [k, v] : o.src_touch) touches.emplace_back(k.first, k.second, v);
+  EXPECT_EQ(src_touch_tuples(m), touches);
+}
+
+struct RandomCell {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint16_t port = 0;
+  int day = 0;
+  std::uint64_t packets = 0;
+};
+
+/// A cell from a small key space (so sums collide), with the extremes —
+/// key 0 in every run, day 0xffff, the top block — drawn often.
+RandomCell random_cell(util::Rng& rng) {
+  RandomCell c;
+  if (rng.chance(0.05)) return c;  // key 0 everywhere, zero packets
+  c.src = rng.chance(0.1) ? 0xffffffu : static_cast<std::uint32_t>(rng.uniform(64));
+  c.dst = rng.chance(0.1) ? 0u : static_cast<std::uint32_t>(rng.uniform(64));
+  c.port = rng.chance(0.1) ? std::uint16_t{0xffff} : static_cast<std::uint16_t>(rng.uniform(8));
+  c.day = rng.chance(0.1) ? 0xffff : static_cast<int>(rng.uniform(4));
+  c.packets = rng.uniform(1'000);
+  return c;
+}
+
+TEST(AnalyticsMatrix, SortedRunsMatchMapOracleUnderRandomInterleavings) {
+  constexpr std::size_t kFloor = analytics::KeyCountRun::kReduceFloor;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    // Slot 0 stays disabled, slot 1 starts enabled and empty.
+    std::vector<IbrMatrix> pool{IbrMatrix(), IbrMatrix(true), IbrMatrix(true), IbrMatrix(true)};
+    std::vector<MatrixOracle> oracle(pool.size());
+    for (std::size_t i = 1; i < pool.size(); ++i) oracle[i].enabled = true;
+    expect_matches_oracle(pool[0], oracle[0]);
+    expect_matches_oracle(pool[1], oracle[1]);
+    EXPECT_EQ(pool[0].memory_bytes(), 0u);
+    EXPECT_EQ(pool[1].memory_bytes(), 0u);
+
+    for (int step = 0; step < 120; ++step) {
+      const std::size_t i = rng.uniform(pool.size());
+      const std::size_t j = rng.uniform(pool.size());
+      switch (rng.uniform(6)) {
+        case 0: {  // a few single adds
+          for (std::uint64_t n = rng.uniform(40); n > 0; --n) {
+            const RandomCell c = random_cell(rng);
+            pool[i].add_flow(c.src, c.dst, c.port, c.day, c.packets);
+            oracle[i].add(c.src, c.dst, c.port, c.day, c.packets);
+          }
+          break;
+        }
+        case 1: {  // a batch over a random row subset
+          std::vector<flow::FlowRecord> records(1 + rng.uniform(200));
+          for (flow::FlowRecord& r : records) {
+            const RandomCell c = random_cell(rng);
+            r.key.src = net::Ipv4Addr(c.src << 8);
+            r.key.dst = net::Ipv4Addr(c.dst << 8 | 7u);
+            r.key.dst_port = c.port;
+            r.packets = c.packets;
+          }
+          flow::FlowBatch batch;
+          batch.decode(records, /*sampling_rate=*/3);
+          std::vector<std::uint32_t> rows;
+          for (std::uint32_t r = 0; r < batch.size(); ++r) {
+            if (rng.chance(0.7)) rows.push_back(r);
+          }
+          const int day = rng.chance(0.2) ? 0xffff : static_cast<int>(rng.uniform(4));
+          pool[i].add_batch(batch, rows, day);
+          for (const std::uint32_t r : rows) {
+            oracle[i].add(records[r].key.src.value() >> 8, records[r].key.dst.value() >> 8,
+                          records[r].key.dst_port, day, records[r].packets * 3);
+          }
+          break;
+        }
+        case 2: {  // a bulk write that crosses the reduce threshold
+          if (rng.uniform(8) != 0) break;
+          const std::size_t count = kFloor + rng.uniform(2 * kFloor);
+          for (std::size_t n = 0; n < count; ++n) {
+            const auto src = static_cast<std::uint32_t>(rng.uniform(128));
+            const auto dst = static_cast<std::uint32_t>(rng.uniform(128));
+            const auto port = static_cast<std::uint16_t>(rng.uniform(4));
+            pool[i].add_flow(src, dst, port, 1, 1 + n % 3);
+            oracle[i].add(src, dst, port, 1, 1 + n % 3);
+          }
+          break;
+        }
+        case 3:
+          pool[i].seal();
+          break;
+        case 4: {  // merge both ways into copies; the operands stay as they are
+          IbrMatrix ij = pool[i];
+          IbrMatrix ji = pool[j];
+          ij.merge(pool[j]);
+          ji.merge(pool[i]);
+          expect_matrix_equal(ij, ji);
+          MatrixOracle expected = oracle[i];
+          expected.merge(oracle[j]);
+          expect_matches_oracle(ij, expected);
+          expect_matches_oracle(pool[j], oracle[j]);
+          break;
+        }
+        default: {  // merge in place, j's pending pairs included
+          if (i == j) break;
+          pool[i].merge(pool[j]);
+          oracle[i].merge(oracle[j]);
+          break;
+        }
+      }
+      expect_matches_oracle(pool[i], oracle[i]);
+      if (::testing::Test::HasFailure()) return;
+    }
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      pool[k].seal();
+      expect_matches_oracle(pool[k], oracle[k]);
+    }
+  }
+}
+
+TEST(AnalyticsMatrix, ReduceThresholdFollowsTheRunAndBoundsPendingPairs) {
+  // Every pair distinct, so each run outgrows the floor and the threshold
+  // becomes the run's own size: memory stays a small multiple of the cells
+  // however many pairs arrive before the seal.
+  constexpr std::size_t kFloor = analytics::KeyCountRun::kReduceFloor;
+  constexpr std::size_t kPairs = 3 * kFloor + 123;
+  IbrMatrix m(true);
+  IbrMatrix operand(true);
+  MatrixOracle oracle;
+  oracle.enabled = true;
+  for (std::size_t n = 0; n < kPairs; ++n) {
+    const auto src = static_cast<std::uint32_t>(n);
+    const auto dst = static_cast<std::uint32_t>(n * 7 % kPairs);
+    const auto port = static_cast<std::uint16_t>(n % 3);
+    m.add_flow(src, dst, port, 2, n);
+    oracle.add(src, dst, port, 2, n);
+    if (n % kFloor == 0) {
+      const std::size_t cells = n + 1;
+      EXPECT_LE(m.memory_bytes(), 3 * 4 * sizeof(analytics::KeyCount) * (kFloor + cells));
+    }
+  }
+  expect_matches_oracle(m, oracle);
+
+  // An operand still holding pending pairs (below the floor) merges whole.
+  MatrixOracle operand_oracle;
+  operand_oracle.enabled = true;
+  for (std::uint32_t n = 0; n < 1'000; ++n) {
+    operand.add_flow(n, n, 0, 0xffff, 5);
+    operand_oracle.add(n, n, 0, 0xffff, 5);
+  }
+  m.merge(operand);
+  oracle.merge(operand_oracle);
+  expect_matches_oracle(m, oracle);
+  expect_matches_oracle(operand, operand_oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +589,37 @@ TEST(AnalyticsScanner, TopServicesRanksPerGroup) {
   EXPECT_EQ(ranked[2], (analytics::ServicePortStat{2, 1, 7, 0, 42}));
 }
 
+TEST(AnalyticsScanner, TopServicesPastMonitorCapacityIsDeterministicAndKeepsTheHeavyPort) {
+  // 2,000 distinct ports in one group against 256 monitors: the ranking is
+  // a Space-Saving estimate.  A port whose true count exceeds every other
+  // port's total must still rank first, and the output must not vary.
+  std::vector<analytics::LabeledPortCount> cells;
+  std::uint64_t others = 0;
+  for (std::uint16_t port = 1; port <= 2'000; ++port) {
+    cells.push_back({1, 2, port, 1u + port % 7u});
+    others += 1u + port % 7u;
+  }
+  constexpr std::uint16_t kHeavy = 6'000;
+  constexpr int kPieces = 10;
+  const std::uint64_t piece = others / kPieces + 1;
+  for (int k = 0; k < kPieces; ++k) {
+    cells.insert(cells.begin() + k * 210 + 100, {1, 2, kHeavy, piece});
+  }
+  ASSERT_GT(piece * kPieces, others);
+
+  const auto ranked = analytics::top_services(cells, /*per_group=*/8);
+  EXPECT_EQ(ranked, analytics::top_services(cells, /*per_group=*/8));
+  ASSERT_EQ(ranked.size(), 8u);
+  EXPECT_EQ(ranked[0].port, kHeavy);
+  EXPECT_EQ(ranked[0].rank, 0u);
+  EXPECT_GE(ranked[0].packets, piece * kPieces);
+  for (std::size_t r = 0; r < ranked.size(); ++r) {
+    EXPECT_EQ(ranked[r].continent, 1u);
+    EXPECT_EQ(ranked[r].net_type, 2u);
+    EXPECT_EQ(ranked[r].rank, r);
+  }
+}
+
 TEST(AnalyticsScanner, TopScannersRankAndFilterByMap) {
   IbrMatrix m(true);
   // Source 100: wide fan-out into the map (blocks 10..14, port 23 only).
@@ -438,7 +629,8 @@ TEST(AnalyticsScanner, TopScannersRankAndFilterByMap) {
   // Source 300: only talks to out-of-map space — must not appear at all.
   m.add_flow(300, 99, 23, 0, 50'000);
 
-  const auto in_map = [](std::uint32_t block) { return block >= 10 && block < 15; };
+  trie::Block24Set in_map;
+  for (std::uint32_t b = 10; b < 15; ++b) in_map.insert(net::Block24(b));
   const auto scanners = analytics::top_scanners(m, in_map, /*limit=*/10);
   ASSERT_EQ(scanners.size(), 2u);
   EXPECT_EQ(scanners[0], (analytics::ScannerProfile{200, 1, 4, 8'000}));

@@ -614,6 +614,67 @@ TEST(ServeServer, FailedReloadKeepsTheOldEpochServing) {
   EXPECT_EQ(lines[0], expected_line("10.0.0.7", 0));
 }
 
+TEST(ServeServer, ReloadCountNeverLagsTheObservedEpoch) {
+  // A reader that sees epoch e must already see the e - 1 reloads that
+  // installed it (epoch 1 is the start-up install): the server counts a
+  // reload before it installs the epoch.
+  const std::string path = snapshot_file("reloadorder", 0);
+  RunningServer rs(test_config(path));
+  constexpr std::uint64_t kReloads = 40;
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> lagging{0};
+  std::atomic<std::uint64_t> observations{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t epoch = rs.server->manager().epoch();
+      const std::uint64_t reloads = rs.server->stats().reloads;
+      if (reloads + 1 < epoch) lagging.fetch_add(1);
+      observations.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  bool all_installed = true;
+  for (std::uint64_t k = 0; k < kReloads && all_installed; ++k) {
+    const auto written =
+        serve::write_snapshot_file(make_snapshot(static_cast<int>(k % 2)), path);
+    EXPECT_TRUE(written.ok()) << written.error().to_string();
+    rs.server->request_reload();
+    all_installed = wait_until([&] { return rs.server->manager().epoch() == k + 2; });
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_TRUE(all_installed) << "a reload never landed";
+  EXPECT_GT(observations.load(), 0u);
+  EXPECT_EQ(lagging.load(), 0u) << "a reader saw an epoch before its reload was counted";
+  EXPECT_EQ(rs.server->stats().reloads, kReloads);
+}
+
+TEST(ServeServer, ActiveGaugeReportsThePeakOfConcurrentConnections) {
+  obs::MetricsRegistry metrics;
+  RunningServer rs(test_config(snapshot_file("peakactive", 0)), &metrics);
+  constexpr std::uint64_t kClients = 5;
+  {
+    std::vector<std::unique_ptr<Client>> clients;
+    for (std::uint64_t c = 0; c < kClients; ++c) {
+      clients.push_back(std::make_unique<Client>(rs.port()));
+      ASSERT_TRUE(clients.back()->connected());
+      ASSERT_TRUE(clients.back()->send_all("10.0.0.7\n"));
+      ASSERT_EQ(clients.back()->read_lines(1).size(), 1u);
+    }
+    EXPECT_EQ(rs.server->stats().active, kClients);
+    EXPECT_EQ(rs.server->stats().peak_active, kClients);
+  }
+  // Every client has hung up; the peak stays.
+  ASSERT_TRUE(wait_until([&] { return rs.server->stats().active == 0; }));
+  EXPECT_EQ(rs.server->stats().peak_active, kClients);
+
+  rs.stop();
+  const auto* active = metrics.find_gauge("serve.server.active");
+  ASSERT_NE(active, nullptr);
+  EXPECT_EQ(active->value(), static_cast<std::int64_t>(kClients));
+}
+
 // ---------------------------------------------------------------------------
 // Watch mode: the zero-touch publish pipeline's read side.  The watcher
 // must pick up an atomic publish without any signal, refuse a corrupt one
